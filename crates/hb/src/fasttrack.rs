@@ -4,7 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use txrace_sim::{Addr, AddrMap, BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
+use txrace_sim::{
+    Addr, AddrMap, BarrierId, ChanId, CondId, Event, LockId, SiteId, ThreadId, TraceConsumer,
+};
 
 use crate::clock::{Epoch, VectorClock};
 use crate::report::{AccessInfo, AccessKind, RaceReport, RaceSet};
@@ -464,55 +466,31 @@ impl FastTrack {
     }
 }
 
-/// FastTrack as a pure trace consumer: accesses are checked, sync events
-/// update the clocks, and — matching TSan — atomic RMWs are *not*
-/// checked (atomics are never data races under the C11 model). Driving a
+/// FastTrack as a pure trace consumer — the one place events map to
+/// happens-before operations. Accesses are checked, sync events update
+/// the clocks, and — matching TSan — atomic RMWs are *not* checked
+/// (atomics are never data races under the C11 model). Driving a
 /// `FastTrack` through [`txrace_sim::Live`] live or through
 /// [`txrace_sim::EventLog::replay`] on a log of the same run produces the
-/// identical race set.
-impl txrace_sim::TraceConsumer for FastTrack {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        FastTrack::read(self, t, site, addr);
-    }
-
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        FastTrack::write(self, t, site, addr);
-    }
-
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_acquire(t, l);
-    }
-
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_release(t, l);
-    }
-
-    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        FastTrack::signal(self, t, c);
-    }
-
-    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        FastTrack::wait(self, t, c);
-    }
-
-    fn spawn(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        FastTrack::spawn(self, t, child);
-    }
-
-    fn join(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        FastTrack::join(self, t, child);
-    }
-
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.barrier_arrivals(b, arrivals);
-    }
-
-    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
-        FastTrack::chan_send(self, t, ch);
-    }
-
-    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
-        FastTrack::chan_recv(self, t, ch);
+/// identical race set; every detector that embeds FastTrack forwards its
+/// sync events here.
+impl TraceConsumer for FastTrack {
+    #[inline(always)]
+    fn event(&mut self, _idx: u64, ev: Event<'_>) {
+        match ev {
+            Event::Read { t, site, addr } => self.read(t, site, addr),
+            Event::Write { t, site, addr } => self.write(t, site, addr),
+            Event::Acquire { t, l, .. } => self.lock_acquire(t, l),
+            Event::Release { t, l, .. } => self.lock_release(t, l),
+            Event::Signal { t, c, .. } => self.signal(t, c),
+            Event::Wait { t, c, .. } => self.wait(t, c),
+            Event::Spawn { t, child, .. } => self.spawn(t, child),
+            Event::Join { t, child, .. } => self.join(t, child),
+            Event::BarrierRelease { b, arrivals } => self.barrier_arrivals(b, arrivals),
+            Event::ChanSend { t, ch, .. } => self.chan_send(t, ch),
+            Event::ChanRecv { t, ch, .. } => self.chan_recv(t, ch),
+            _ => {}
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use txrace_sim::{Addr, AddrMap, LockId, SiteId, ThreadId};
+use txrace_sim::{Addr, AddrMap, Event, LockId, SiteId, ThreadId, TraceConsumer};
 
 /// The Eraser per-variable state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +59,7 @@ pub struct Lockset {
     var_ids: AddrMap,
     vars: Vec<VarState>,
     reports: Vec<LocksetReport>,
+    checks: u64,
 }
 
 impl Lockset {
@@ -69,12 +70,18 @@ impl Lockset {
             var_ids: AddrMap::new(),
             vars: Vec::new(),
             reports: Vec::new(),
+            checks: 0,
         }
     }
 
     /// Violations found so far.
     pub fn reports(&self) -> &[LocksetReport] {
         &self.reports
+    }
+
+    /// Number of accesses checked (reads plus writes).
+    pub fn checks(&self) -> u64 {
+        self.checks
     }
 
     /// Tracks a mutex acquire.
@@ -98,6 +105,7 @@ impl Lockset {
     }
 
     fn access(&mut self, t: ThreadId, site: SiteId, addr: Addr, is_write: bool) {
+        self.checks += 1;
         let held = &self.held[t.index()];
         let i = self.var_ids.resolve(addr) as usize;
         if i == self.vars.len() {
@@ -148,25 +156,21 @@ impl Lockset {
     }
 }
 
-/// Eraser as a pure trace consumer. The mapping preserves its defining
-/// blindness: only mutex events update the held sets — signal/wait,
-/// spawn/join, and barriers are ignored, which is exactly where its
-/// false positives come from.
-impl txrace_sim::TraceConsumer for Lockset {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        Lockset::read(self, t, site, addr);
-    }
-
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        Lockset::write(self, t, site, addr);
-    }
-
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_acquire(t, l);
-    }
-
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_release(t, l);
+/// Eraser as a pure trace consumer — the one place events map to
+/// mutex operations. The mapping preserves its defining blindness: only
+/// mutex events update the held sets — signal/wait, spawn/join,
+/// barriers and channels are ignored, which is exactly where its false
+/// positives come from.
+impl TraceConsumer for Lockset {
+    #[inline(always)]
+    fn event(&mut self, _idx: u64, ev: Event<'_>) {
+        match ev {
+            Event::Read { t, site, addr } => self.read(t, site, addr),
+            Event::Write { t, site, addr } => self.write(t, site, addr),
+            Event::Acquire { t, l, .. } => self.lock_acquire(t, l),
+            Event::Release { t, l, .. } => self.lock_release(t, l),
+            _ => {}
+        }
     }
 }
 

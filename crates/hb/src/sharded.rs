@@ -25,23 +25,26 @@
 //!   pair's globally-first report is also first within its own shard
 //!   (an address lives on one shard only).
 //!
-//! Since the sync-indexed rework, shards do **not** replay the log:
-//! [`ShardPlan::build`] derives a [`SyncIndex`] plus per-shard
-//! [`AccessPartition`] slices in one pass over the decoded log, and each
-//! shard consumes (its slice + the shared sync stream) through the
-//! two-cursor merge of
-//! [`replay_indexed`](txrace_sim::replay_indexed). Per-shard work is
-//! O(accesses/W + sync) instead of O(all events), and the decode +
-//! partition happens once per log regardless of the shard count.
+//! Shards do **not** replay the log: [`ShardPlan::build`] derives a
+//! [`SyncIndex`] plus per-shard [`AccessPartition`] slices in one pass
+//! over the decoded log, and each shard — the plain [`FastTrack`] or
+//! [`Lockset`] detector, fed through the same [`TraceConsumer`] impl a
+//! serial replay uses — consumes (its slice + the shared sync stream)
+//! through the two-cursor merge of [`replay_indexed`]. Per-shard work
+//! is O(accesses/W + sync) instead of O(all events), and the decode +
+//! partition happens once per log regardless of the shard count. Shards
+//! run through [`par_map`], so they execute concurrently on up to one
+//! thread per core and never time-slice a core against each other.
 //!
 //! Sharding supports [`ShadowMode::Exact`] only: `Cells` mode draws
 //! evictions from a single global RNG stream whose state depends on the
 //! interleaved access order across *all* addresses, which no
 //! partitioning can reproduce.
 
+use std::time::Instant;
+
 use txrace_sim::{
-    fan_out_indexed, Addr, AccessPartition, BarrierId, ChanId, CondId, EventLog, IndexedAccess,
-    IndexedConsumer, LockId, SiteId, SyncIndex, ThreadId,
+    par_map, replay_indexed, AccessPartition, Addr, Event, EventLog, SyncIndex, TraceConsumer,
 };
 
 use crate::fasttrack::{FastTrack, ShadowMode};
@@ -150,65 +153,89 @@ pub struct ShardStats {
     pub wall_ns: u64,
 }
 
-/// One FastTrack shard: full sync state, 1/W of the shadow state.
-///
-/// A pure [`IndexedConsumer`]: the plan already routed its accesses, so
-/// there is no ownership check and no event counting on the hot path —
-/// report tags come from the pre-computed global indices.
-struct FtShard {
-    ft: FastTrack,
-    /// `(global event index, report)` in within-shard discovery order.
-    tagged: Vec<(u64, RaceReport)>,
+/// A per-variable detector that can run as one shard: it consumes the
+/// shard's merged stream and exposes its reports in discovery order.
+trait ShardDetector: TraceConsumer + Send {
+    type Report: Copy + Send;
+    fn reports(&self) -> &[Self::Report];
+    fn checks(&self) -> u64;
 }
 
-impl FtShard {
-    fn new(threads: usize) -> Self {
-        FtShard {
-            ft: FastTrack::new(threads, ShadowMode::Exact),
+impl ShardDetector for FastTrack {
+    type Report = RaceReport;
+    fn reports(&self) -> &[RaceReport] {
+        self.races().reports()
+    }
+    fn checks(&self) -> u64 {
+        FastTrack::checks(self)
+    }
+}
+
+impl ShardDetector for Lockset {
+    type Report = LocksetReport;
+    fn reports(&self) -> &[LocksetReport] {
+        Lockset::reports(self)
+    }
+    fn checks(&self) -> u64 {
+        Lockset::checks(self)
+    }
+}
+
+/// One shard: a full-sync-state detector seeing 1/W of the accesses,
+/// tagging each new report with the global index of the event that
+/// produced it (indices come from the plan, so no shard counts events).
+struct Shard<D: ShardDetector> {
+    det: D,
+    tagged: Vec<(u64, D::Report)>,
+}
+
+impl<D: ShardDetector> TraceConsumer for Shard<D> {
+    #[inline(always)]
+    fn event(&mut self, idx: u64, ev: Event<'_>) {
+        let before = self.det.reports().len();
+        self.det.event(idx, ev);
+        let new = &self.det.reports()[before..];
+        self.tagged.extend(new.iter().map(|&r| (idx, r)));
+    }
+}
+
+/// Runs one `make()` detector per shard of `plan` (concurrently, on up
+/// to one thread per core) and merges their reports into serial
+/// discovery order. Returns the shard detectors, the merged reports and
+/// the per-shard stats.
+fn run_shards<D: ShardDetector>(
+    plan: &ShardPlan,
+    make: impl Fn() -> D,
+) -> (Vec<D>, Vec<D::Report>, Vec<ShardStats>) {
+    let shards: Vec<Shard<D>> = (0..plan.shards())
+        .map(|_| Shard {
+            det: make(),
             tagged: Vec::new(),
-        }
+        })
+        .collect();
+    let done = par_map(shards, plan.shards(), |shard, mut s| {
+        let t0 = Instant::now();
+        replay_indexed(plan.sync(), plan.partition().slice(shard), &mut s);
+        (s, t0.elapsed().as_nanos() as u64)
+    });
+    let mut tagged = Vec::new();
+    let mut stats = Vec::with_capacity(done.len());
+    let mut dets = Vec::with_capacity(done.len());
+    for (shard, (s, wall_ns)) in done.into_iter().enumerate() {
+        stats.push(ShardStats {
+            shard,
+            events: plan.shard_events(shard),
+            checks: s.det.checks(),
+            races_found: s.tagged.len() as u64,
+            wall_ns,
+        });
+        tagged.extend(s.tagged);
+        dets.push(s.det);
     }
-}
-
-impl IndexedConsumer for FtShard {
-    fn access(&mut self, a: &IndexedAccess) {
-        let before = self.ft.races().reports().len();
-        if a.is_write {
-            self.ft.write(a.thread, a.site, a.addr);
-        } else {
-            self.ft.read(a.thread, a.site, a.addr);
-        }
-        for r in &self.ft.races().reports()[before..] {
-            self.tagged.push((a.idx, *r));
-        }
-    }
-    fn acquire(&mut self, _idx: u64, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ft.lock_acquire(t, l);
-    }
-    fn release(&mut self, _idx: u64, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ft.lock_release(t, l);
-    }
-    fn signal(&mut self, _idx: u64, t: ThreadId, _site: SiteId, c: CondId) {
-        self.ft.signal(t, c);
-    }
-    fn wait(&mut self, _idx: u64, t: ThreadId, _site: SiteId, c: CondId) {
-        self.ft.wait(t, c);
-    }
-    fn spawn(&mut self, _idx: u64, t: ThreadId, _site: SiteId, child: ThreadId) {
-        self.ft.spawn(t, child);
-    }
-    fn join(&mut self, _idx: u64, t: ThreadId, _site: SiteId, child: ThreadId) {
-        self.ft.join(t, child);
-    }
-    fn barrier_release(&mut self, _idx: u64, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.ft.barrier_arrivals(b, arrivals);
-    }
-    fn chan_send(&mut self, _idx: u64, t: ThreadId, _site: SiteId, ch: ChanId) {
-        self.ft.chan_send(t, ch);
-    }
-    fn chan_recv(&mut self, _idx: u64, t: ThreadId, _site: SiteId, ch: ChanId) {
-        self.ft.chan_recv(t, ch);
-    }
+    // Stable sort: same-event reports all come from one shard (an
+    // address has one owner), so their within-shard order survives.
+    tagged.sort_by_key(|&(idx, _)| idx);
+    (dets, tagged.into_iter().map(|(_, r)| r).collect(), stats)
 }
 
 /// Result of a sharded FastTrack replay pass.
@@ -228,8 +255,9 @@ pub struct ShardedFtOutcome {
 
 /// FastTrack with shadow state partitioned across `workers` shards.
 ///
-/// `run` indexes the log ([`ShardPlan::build`]) and merges the per-shard
-/// verdicts; the outcome is byte-identical to a serial
+/// [`run_with_plan`](ShardedFastTrack::run_with_plan) runs one shard per
+/// slice of a [`ShardPlan`] and merges the per-shard verdicts; the
+/// outcome is byte-identical to a serial
 /// `FastTrack::new(threads, ShadowMode::Exact)` replay of the same log
 /// (races, report order, check totals). See the module docs for the
 /// equivalence argument and why `Cells` mode is excluded.
@@ -248,107 +276,24 @@ impl ShardedFastTrack {
         }
     }
 
-    /// Indexes `log` and runs all shards on scoped threads.
-    pub fn run(&self, log: &EventLog) -> ShardedFtOutcome {
-        self.run_with_plan(&ShardPlan::build(log, self.workers))
-    }
-
-    /// [`ShardedFastTrack::run`] with the shards executed sequentially
-    /// on the calling thread. Shards are fully independent, so the
-    /// outcome is identical to the threaded path — this exists for
-    /// single-core hosts (threading cannot help there) and for clean
-    /// per-shard [`ShardStats::wall_ns`] measurements, which the
-    /// threaded path pollutes with preemption whenever shards outnumber
-    /// cores.
-    pub fn run_serial(&self, log: &EventLog) -> ShardedFtOutcome {
-        self.run_with_plan_serial(&ShardPlan::build(log, self.workers))
-    }
-
-    /// Runs the shards over an existing plan on scoped threads — the
-    /// entry point for harnesses that amortize one [`ShardPlan`] across
-    /// several detectors or repetitions.
+    /// Runs the shards over `plan`, concurrently on up to one thread per
+    /// core. Shards are independent, so the outcome does not depend on
+    /// how many run at once.
+    ///
+    /// # Panics
+    ///
+    /// If `plan` was built for a different shard count.
     pub fn run_with_plan(&self, plan: &ShardPlan) -> ShardedFtOutcome {
-        self.run_plan(plan, true)
-    }
-
-    /// [`ShardedFastTrack::run_with_plan`], sequentially on the calling
-    /// thread.
-    pub fn run_with_plan_serial(&self, plan: &ShardPlan) -> ShardedFtOutcome {
-        self.run_plan(plan, false)
-    }
-
-    fn run_plan(&self, plan: &ShardPlan, parallel: bool) -> ShardedFtOutcome {
         assert_eq!(plan.shards(), self.workers, "plan built for another width");
-        let consumers: Vec<FtShard> = (0..self.workers).map(|_| FtShard::new(self.threads)).collect();
-        let reports = fan_out_indexed(plan.sync(), plan.partition(), consumers, parallel);
-        let mut tagged: Vec<(u64, RaceReport)> = Vec::new();
-        let mut shards = Vec::with_capacity(self.workers);
-        let mut checks = 0;
-        let mut sync_ops = 0;
-        for r in reports {
-            let w = r.consumer;
-            shards.push(ShardStats {
-                shard: r.shard,
-                events: r.events,
-                checks: w.ft.checks(),
-                races_found: w.tagged.len() as u64,
-                wall_ns: r.wall_ns,
-            });
-            checks += w.ft.checks();
-            sync_ops = w.ft.sync_ops();
-            tagged.extend(w.tagged);
-        }
-        // Stable sort: same-event reports all come from one shard (an
-        // address has one owner), so their within-shard order survives.
-        tagged.sort_by_key(|&(idx, _)| idx);
-        let races: RaceSet = tagged.into_iter().map(|(_, r)| r).collect();
+        let (dets, races, shards) =
+            run_shards(plan, || FastTrack::new(self.threads, ShadowMode::Exact));
         ShardedFtOutcome {
-            races,
-            checks,
-            sync_ops,
+            races: races.into_iter().collect(),
+            checks: dets.iter().map(FastTrack::checks).sum(),
+            sync_ops: dets.last().map_or(0, FastTrack::sync_ops),
             shards,
         }
     }
-}
-
-/// One lockset shard: full held-lock state, 1/W of the variable state.
-struct LsShard {
-    ls: Lockset,
-    checks: u64,
-    tagged: Vec<(u64, LocksetReport)>,
-}
-
-impl LsShard {
-    fn new(threads: usize) -> Self {
-        LsShard {
-            ls: Lockset::new(threads),
-            checks: 0,
-            tagged: Vec::new(),
-        }
-    }
-}
-
-impl IndexedConsumer for LsShard {
-    fn access(&mut self, a: &IndexedAccess) {
-        self.checks += 1;
-        let before = self.ls.reports().len();
-        if a.is_write {
-            self.ls.write(a.thread, a.site, a.addr);
-        } else {
-            self.ls.read(a.thread, a.site, a.addr);
-        }
-        for r in &self.ls.reports()[before..] {
-            self.tagged.push((a.idx, *r));
-        }
-    }
-    fn acquire(&mut self, _idx: u64, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ls.lock_acquire(t, l);
-    }
-    fn release(&mut self, _idx: u64, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ls.lock_release(t, l);
-    }
-    // Eraser is blind to every other form of synchronization (signals,
-    // barriers, channels, fork/join) — the defaults ignore them.
 }
 
 /// Result of a sharded lockset replay pass.
@@ -380,51 +325,16 @@ impl ShardedLockset {
         }
     }
 
-    /// Indexes `log` and runs all shards on scoped threads.
-    pub fn run(&self, log: &EventLog) -> ShardedLsOutcome {
-        self.run_with_plan(&ShardPlan::build(log, self.workers))
-    }
-
-    /// [`ShardedLockset::run`] with the shards executed sequentially on
-    /// the calling thread — identical outcome, clean per-shard timing
-    /// (see [`ShardedFastTrack::run_serial`]).
-    pub fn run_serial(&self, log: &EventLog) -> ShardedLsOutcome {
-        self.run_with_plan_serial(&ShardPlan::build(log, self.workers))
-    }
-
-    /// Runs the shards over an existing plan on scoped threads.
+    /// Runs the shards over `plan`, like
+    /// [`ShardedFastTrack::run_with_plan`].
+    ///
+    /// # Panics
+    ///
+    /// If `plan` was built for a different shard count.
     pub fn run_with_plan(&self, plan: &ShardPlan) -> ShardedLsOutcome {
-        self.run_plan(plan, true)
-    }
-
-    /// [`ShardedLockset::run_with_plan`], sequentially on the calling
-    /// thread.
-    pub fn run_with_plan_serial(&self, plan: &ShardPlan) -> ShardedLsOutcome {
-        self.run_plan(plan, false)
-    }
-
-    fn run_plan(&self, plan: &ShardPlan, parallel: bool) -> ShardedLsOutcome {
         assert_eq!(plan.shards(), self.workers, "plan built for another width");
-        let consumers: Vec<LsShard> = (0..self.workers).map(|_| LsShard::new(self.threads)).collect();
-        let reports = fan_out_indexed(plan.sync(), plan.partition(), consumers, parallel);
-        let mut tagged: Vec<(u64, LocksetReport)> = Vec::new();
-        let mut shards = Vec::with_capacity(self.workers);
-        for r in reports {
-            let w = r.consumer;
-            shards.push(ShardStats {
-                shard: r.shard,
-                events: r.events,
-                checks: w.checks,
-                races_found: w.tagged.len() as u64,
-                wall_ns: r.wall_ns,
-            });
-            tagged.extend(w.tagged);
-        }
-        tagged.sort_by_key(|&(idx, _)| idx);
-        ShardedLsOutcome {
-            reports: tagged.into_iter().map(|(_, r)| r).collect(),
-            shards,
-        }
+        let (_, reports, shards) = run_shards(plan, || Lockset::new(self.threads));
+        ShardedLsOutcome { reports, shards }
     }
 }
 
@@ -476,17 +386,12 @@ mod tests {
             let mut serial = FastTrack::new(n, ShadowMode::Exact);
             log.replay(&mut serial);
             for workers in [1, 2, 3, 4, 8] {
-                let out = ShardedFastTrack::new(n, workers).run(&log);
+                let plan = ShardPlan::build(&log, workers);
+                let out = ShardedFastTrack::new(n, workers).run_with_plan(&plan);
                 assert_eq!(
                     out.races.reports(),
                     serial.races().reports(),
                     "seed={seed} workers={workers}"
-                );
-                let seq = ShardedFastTrack::new(n, workers).run_serial(&log);
-                assert_eq!(
-                    seq.races.reports(),
-                    out.races.reports(),
-                    "sequential and threaded shard execution must agree"
                 );
                 assert_eq!(out.checks, serial.checks(), "seed={seed} workers={workers}");
                 assert_eq!(out.sync_ops, serial.sync_ops());
@@ -504,14 +409,13 @@ mod tests {
             let mut serial = Lockset::new(n);
             log.replay(&mut serial);
             for workers in [1, 2, 4, 8] {
-                let out = ShardedLockset::new(n, workers).run(&log);
+                let plan = ShardPlan::build(&log, workers);
+                let out = ShardedLockset::new(n, workers).run_with_plan(&plan);
                 assert_eq!(
                     out.reports,
                     serial.reports(),
                     "seed={seed} workers={workers}"
                 );
-                let seq = ShardedLockset::new(n, workers).run_serial(&log);
-                assert_eq!(seq.reports, out.reports);
             }
         }
     }
@@ -523,12 +427,17 @@ mod tests {
         assert_eq!(plan.shards(), 4);
         assert_eq!(plan.threads(), n);
         let ft_a = ShardedFastTrack::new(n, 4).run_with_plan(&plan);
-        let ft_b = ShardedFastTrack::new(n, 4).run_with_plan_serial(&plan);
+        let ft_b = ShardedFastTrack::new(n, 4).run_with_plan(&plan);
         assert_eq!(ft_a.races.reports(), ft_b.races.reports());
         let ls = ShardedLockset::new(n, 4).run_with_plan(&plan);
         let mut serial_ls = Lockset::new(n);
         log.replay(&mut serial_ls);
         assert_eq!(ls.reports, serial_ls.reports());
+        // Both detectors consumed the same partition: identical
+        // per-shard dispatched-event counts (slice + sync stream).
+        for (f, l) in ft_a.shards.iter().zip(&ls.shards) {
+            assert_eq!(f.events, l.events);
+        }
         // Reusing the sync stream across shard counts is the sweep path.
         let sync = SyncIndex::of(&log);
         for workers in [1usize, 2, 8] {
@@ -542,7 +451,7 @@ mod tests {
     fn shard_stats_expose_sliced_event_counts() {
         let (log, n) = racy_log(5);
         let plan = ShardPlan::build(&log, 4);
-        let out = ShardedFastTrack::new(n, 4).run_with_plan_serial(&plan);
+        let out = ShardedFastTrack::new(n, 4).run_with_plan(&plan);
         let sync_len = plan.sync().len() as u64;
         let mut sliced_total = 0;
         for s in &out.shards {

@@ -6,7 +6,9 @@
 //! compression can merge which static pair is blamed first, but never
 //! which variables race).
 
-use txrace_sim::{Addr, AddrMap, BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
+use txrace_sim::{
+    Addr, AddrMap, BarrierId, ChanId, CondId, Event, LockId, SiteId, ThreadId, TraceConsumer,
+};
 
 use crate::clock::VectorClock;
 use crate::report::{AccessInfo, AccessKind, RaceReport, RaceSet};
@@ -260,49 +262,23 @@ impl VectorClockDetector {
 /// [`FastTrack`](crate::FastTrack) mapping (atomic RMWs unchecked) so
 /// the two implementations stay comparable event-for-event under both
 /// live and replayed driving.
-impl txrace_sim::TraceConsumer for VectorClockDetector {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        VectorClockDetector::read(self, t, site, addr);
-    }
-
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        VectorClockDetector::write(self, t, site, addr);
-    }
-
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_acquire(t, l);
-    }
-
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_release(t, l);
-    }
-
-    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        VectorClockDetector::signal(self, t, c);
-    }
-
-    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        VectorClockDetector::wait(self, t, c);
-    }
-
-    fn spawn(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        VectorClockDetector::spawn(self, t, child);
-    }
-
-    fn join(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        VectorClockDetector::join(self, t, child);
-    }
-
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.barrier_arrivals(b, arrivals);
-    }
-
-    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
-        VectorClockDetector::chan_send(self, t, ch);
-    }
-
-    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
-        VectorClockDetector::chan_recv(self, t, ch);
+impl TraceConsumer for VectorClockDetector {
+    #[inline(always)]
+    fn event(&mut self, _idx: u64, ev: Event<'_>) {
+        match ev {
+            Event::Read { t, site, addr } => self.read(t, site, addr),
+            Event::Write { t, site, addr } => self.write(t, site, addr),
+            Event::Acquire { t, l, .. } => self.lock_acquire(t, l),
+            Event::Release { t, l, .. } => self.lock_release(t, l),
+            Event::Signal { t, c, .. } => self.signal(t, c),
+            Event::Wait { t, c, .. } => self.wait(t, c),
+            Event::Spawn { t, child, .. } => self.spawn(t, child),
+            Event::Join { t, child, .. } => self.join(t, child),
+            Event::BarrierRelease { b, arrivals } => self.barrier_arrivals(b, arrivals),
+            Event::ChanSend { t, ch, .. } => self.chan_send(t, ch),
+            Event::ChanRecv { t, ch, .. } => self.chan_recv(t, ch),
+            _ => {}
+        }
     }
 }
 

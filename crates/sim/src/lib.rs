@@ -66,15 +66,12 @@ pub use intern::{Interner, RESERVED_LINES};
 pub use ir::{Op, Program, ProgramBuilder, Stmt, SyscallKind, ThreadBuilder};
 pub use lint::{lint, LintIssue};
 pub use mem::{JournalMark, Memory, WriteJournal};
-pub use replay::{
-    fan_out, fan_out_indexed, replay_indexed, FanOutReport, IndexedConsumer, IndexedShardReport,
-    Live, TraceConsumer,
-};
+pub use replay::{fan_out, par_map, replay_indexed, Event, FanOutReport, Live, TraceConsumer};
 pub use sched::{FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler};
 pub use summary::{dynamic_site_counts, summarize, ChanSiteUse, Phase, ProgramSummary, SiteAccess};
 pub use trace::{
-    record_run, AccessPartition, EventLog, EventLogBuilder, IndexedAccess, OpCensus, SyncIndex,
-    TraceEvent, TraceEventKind, LOG_VERSION,
+    record_run, AccessPartition, EventLog, EventLogBuilder, OpCensus, SyncIndex, TraceEvent,
+    TraceEventKind, LOG_VERSION,
 };
 
 /// A runtime that executes memory operations directly against memory with

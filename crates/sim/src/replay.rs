@@ -4,13 +4,16 @@
 //! A [`TraceConsumer`] sees exactly the events a pure observer would see
 //! live — resolved access addresses, architecturally completed sync
 //! operations, barrier releases with their arrival lists, and thread
-//! terminations — but is decoupled from execution: the same consumer can
-//! be driven by the [`Live`] adapter during an interpreter run *or* by
-//! [`EventLog::replay`](crate::trace::EventLog::replay) over a recorded
-//! log, and observes the identical call sequence either way. That is the
-//! correctness contract of the pipeline: because a pure observer never
-//! redirects control or alters memory, recording is invisible, and a log
-//! recorded once can stand in for any number of re-executions.
+//! terminations — each as one [`Event`] tagged with its global position
+//! in the stream. It is decoupled from execution: the same consumer can
+//! be driven by the [`Live`] adapter during an interpreter run, by
+//! [`EventLog::replay`] over a recorded log, by [`fan_out`] alongside
+//! other consumers, or by [`replay_indexed`] over one shard's slice of
+//! the log, and observes the identical `(index, event)` sequence (or,
+//! for a shard, the identical subsequence). That is the correctness
+//! contract of the pipeline: because a pure observer never redirects
+//! control or alters memory, recording is invisible, and a log recorded
+//! once can stand in for any number of re-executions.
 //!
 //! The TxRace engine itself is *not* a pure observer (it rolls threads
 //! back), so it stays a [`Runtime`] and is excluded from this boundary.
@@ -24,238 +27,147 @@ use crate::exec::{Directive, OpEvent, Runtime};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
 use crate::ir::{Op, SyscallKind};
 use crate::mem::Memory;
-use crate::trace::{AccessPartition, EventLog, IndexedAccess, SyncIndex, TraceEventKind};
+use crate::trace::{EventLog, SyncIndex, TraceEvent};
+
+/// One schedule-visible event, decoded.
+///
+/// Fields follow one naming scheme: `t` is the executing thread and
+/// `site` the static site of the operation; the remaining field is the
+/// operation's operand — a resolved address, a lock/condition/channel/
+/// barrier id, a `child` thread, a unit count, or a syscall kind.
+/// Exactly one event fires per completed operation, plus one
+/// [`Event::BarrierRelease`] per barrier release, after the arrivals
+/// that triggered it.
+#[allow(missing_docs)] // fields are documented above
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event<'a> {
+    /// A shared read.
+    Read {
+        t: ThreadId,
+        site: SiteId,
+        addr: Addr,
+    },
+    /// A shared write.
+    Write {
+        t: ThreadId,
+        site: SiteId,
+        addr: Addr,
+    },
+    /// An atomic read-modify-write. Atomics are never data races under
+    /// the C11 model; most detectors ignore these.
+    Rmw {
+        t: ThreadId,
+        site: SiteId,
+        addr: Addr,
+    },
+    /// Mutex `l` acquired.
+    Acquire {
+        t: ThreadId,
+        site: SiteId,
+        l: LockId,
+    },
+    /// Mutex `l` released.
+    Release {
+        t: ThreadId,
+        site: SiteId,
+        l: LockId,
+    },
+    /// Semaphore `c` posted.
+    Signal {
+        t: ThreadId,
+        site: SiteId,
+        c: CondId,
+    },
+    /// A wait on `c` satisfied.
+    Wait {
+        t: ThreadId,
+        site: SiteId,
+        c: CondId,
+    },
+    /// Thread `child` spawned by `t`.
+    Spawn {
+        t: ThreadId,
+        site: SiteId,
+        child: ThreadId,
+    },
+    /// A join on `child` satisfied.
+    Join {
+        t: ThreadId,
+        site: SiteId,
+        child: ThreadId,
+    },
+    /// Thread `t` arrived at barrier `b` (it may block here; the release
+    /// is a separate event).
+    BarrierArrive {
+        t: ThreadId,
+        site: SiteId,
+        b: BarrierId,
+    },
+    /// Barrier `b` released all `arrivals` (thread and arrival site, in
+    /// arrival order).
+    BarrierRelease {
+        b: BarrierId,
+        arrivals: &'a [(ThreadId, SiteId)],
+    },
+    /// `units` cycles of thread-local computation.
+    Compute {
+        t: ThreadId,
+        site: SiteId,
+        units: u32,
+    },
+    /// A system call.
+    Syscall {
+        t: ThreadId,
+        site: SiteId,
+        kind: SyscallKind,
+    },
+    /// A send into channel `ch` completed (a happens-before release
+    /// toward the receive that takes the message).
+    ChanSend {
+        t: ThreadId,
+        site: SiteId,
+        ch: ChanId,
+    },
+    /// A receive from channel `ch` completed (a happens-before acquire
+    /// from the sends that fed the channel).
+    ChanRecv {
+        t: ThreadId,
+        site: SiteId,
+        ch: ChanId,
+    },
+    /// Thread `t` finished its program.
+    ThreadDone { t: ThreadId },
+}
 
 /// A pure observer of one execution's schedule-visible event stream.
 ///
-/// Every method defaults to a no-op so consumers implement only what
-/// they track. Methods are invoked in execution order; for one completed
-/// operation exactly one method fires, plus
-/// [`barrier_release`](TraceConsumer::barrier_release) once per barrier
-/// release, after the arrivals that triggered it.
+/// `event` is called once per event, in execution order, with the
+/// event's global position `idx` in the stream (0-based; the same
+/// position whether the stream is live or replayed). Consumers match on
+/// the events they track and ignore the rest. The detectors mark `event`
+/// `#[inline(always)]`: the replay dispatch calls it once per event kind
+/// with an event of that kind, so inlined, its match folds away.
 pub trait TraceConsumer {
-    /// A shared read at `addr` (resolved effective address).
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        let _ = (t, site, addr);
-    }
-
-    /// A shared write at `addr`.
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        let _ = (t, site, addr);
-    }
-
-    /// An atomic read-modify-write at `addr`. Atomics are never data
-    /// races under the C11 model; most detectors ignore these.
-    fn rmw(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        let _ = (t, site, addr);
-    }
-
-    /// Mutex `l` acquired.
-    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        let _ = (t, site, l);
-    }
-
-    /// Mutex `l` released.
-    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        let _ = (t, site, l);
-    }
-
-    /// Semaphore `c` posted.
-    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        let _ = (t, site, c);
-    }
-
-    /// A wait on `c` satisfied.
-    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        let _ = (t, site, c);
-    }
-
-    /// Thread `child` spawned by `t`.
-    fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        let _ = (t, site, child);
-    }
-
-    /// A join on `child` satisfied.
-    fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        let _ = (t, site, child);
-    }
-
-    /// Thread `t` arrived at barrier `b` (it may block here; the release
-    /// is reported separately).
-    fn barrier_arrive(&mut self, t: ThreadId, site: SiteId, b: BarrierId) {
-        let _ = (t, site, b);
-    }
-
-    /// Barrier `b` released all `arrivals` (thread and arrival site, in
-    /// arrival order).
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        let _ = (b, arrivals);
-    }
-
-    /// `units` cycles of thread-local computation.
-    fn compute(&mut self, t: ThreadId, site: SiteId, units: u32) {
-        let _ = (t, site, units);
-    }
-
-    /// A system call.
-    fn syscall(&mut self, t: ThreadId, site: SiteId, kind: SyscallKind) {
-        let _ = (t, site, kind);
-    }
-
-    /// A send into channel `ch` completed (a happens-before release
-    /// toward the receive that takes the message).
-    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        let _ = (t, site, ch);
-    }
-
-    /// A receive from channel `ch` completed (a happens-before acquire
-    /// from the sends that fed the channel).
-    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        let _ = (t, site, ch);
-    }
-
-    /// Thread `t` finished its program.
-    fn thread_done(&mut self, t: ThreadId) {
-        let _ = t;
-    }
+    /// Observes event `ev` at stream position `idx`.
+    fn event(&mut self, idx: u64, ev: Event<'_>);
 }
 
 /// Boxed consumers forward every event, so heterogeneous detector sets
 /// (`Vec<Box<dyn TraceConsumer + Send>>`) can ride one [`fan_out`] pass.
 impl<C: TraceConsumer + ?Sized> TraceConsumer for Box<C> {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        (**self).read(t, site, addr);
-    }
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        (**self).write(t, site, addr);
-    }
-    fn rmw(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        (**self).rmw(t, site, addr);
-    }
-    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        (**self).acquire(t, site, l);
-    }
-    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        (**self).release(t, site, l);
-    }
-    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        (**self).signal(t, site, c);
-    }
-    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        (**self).wait(t, site, c);
-    }
-    fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        (**self).spawn(t, site, child);
-    }
-    fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        (**self).join(t, site, child);
-    }
-    fn barrier_arrive(&mut self, t: ThreadId, site: SiteId, b: BarrierId) {
-        (**self).barrier_arrive(t, site, b);
-    }
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        (**self).barrier_release(b, arrivals);
-    }
-    fn compute(&mut self, t: ThreadId, site: SiteId, units: u32) {
-        (**self).compute(t, site, units);
-    }
-    fn syscall(&mut self, t: ThreadId, site: SiteId, kind: SyscallKind) {
-        (**self).syscall(t, site, kind);
-    }
-    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        (**self).chan_send(t, site, ch);
-    }
-    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        (**self).chan_recv(t, site, ch);
-    }
-    fn thread_done(&mut self, t: ThreadId) {
-        (**self).thread_done(t);
+    fn event(&mut self, idx: u64, ev: Event<'_>) {
+        (**self).event(idx, ev);
     }
 }
 
-/// A consumer of the *indexed* replay path: one shard's view of a log,
-/// assembled from its [`AccessPartition`] slice plus the shared
-/// [`SyncIndex`] stream by [`replay_indexed`].
-///
-/// Unlike [`TraceConsumer`], every method carries the event's global log
-/// position (`idx`) explicitly — shards no longer count events
-/// themselves, so a shard that sees only 1/S of the accesses still tags
-/// its reports with absolute positions, and the cross-shard merge by
-/// `idx` reproduces serial discovery order. Only the methods a sharded
-/// detector can act on exist: accesses (pre-decoded, one method) and the
-/// sync kinds. Atomics, barrier arrivals, compute, syscalls, and
-/// thread-done never reach an indexed consumer — they are no-ops for
-/// every per-variable detector, and skipping their dispatch entirely is
-/// where the indexed path's work reduction comes from.
-pub trait IndexedConsumer {
-    /// A routed data access (read or write), pre-decoded.
-    fn access(&mut self, a: &IndexedAccess) {
-        let _ = a;
-    }
-
-    /// Mutex `l` acquired.
-    fn acquire(&mut self, idx: u64, t: ThreadId, site: SiteId, l: LockId) {
-        let _ = (idx, t, site, l);
-    }
-
-    /// Mutex `l` released.
-    fn release(&mut self, idx: u64, t: ThreadId, site: SiteId, l: LockId) {
-        let _ = (idx, t, site, l);
-    }
-
-    /// Semaphore `c` posted.
-    fn signal(&mut self, idx: u64, t: ThreadId, site: SiteId, c: CondId) {
-        let _ = (idx, t, site, c);
-    }
-
-    /// A wait on `c` satisfied.
-    fn wait(&mut self, idx: u64, t: ThreadId, site: SiteId, c: CondId) {
-        let _ = (idx, t, site, c);
-    }
-
-    /// Thread `child` spawned by `t`.
-    fn spawn(&mut self, idx: u64, t: ThreadId, site: SiteId, child: ThreadId) {
-        let _ = (idx, t, site, child);
-    }
-
-    /// A join on `child` satisfied.
-    fn join(&mut self, idx: u64, t: ThreadId, site: SiteId, child: ThreadId) {
-        let _ = (idx, t, site, child);
-    }
-
-    /// Barrier `b` released all `arrivals`.
-    fn barrier_release(&mut self, idx: u64, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        let _ = (idx, b, arrivals);
-    }
-
-    /// A send into channel `ch` completed.
-    fn chan_send(&mut self, idx: u64, t: ThreadId, site: SiteId, ch: ChanId) {
-        let _ = (idx, t, site, ch);
-    }
-
-    /// A receive from channel `ch` completed.
-    fn chan_recv(&mut self, idx: u64, t: ThreadId, site: SiteId, ch: ChanId) {
-        let _ = (idx, t, site, ch);
-    }
-}
-
-/// Dispatches one sync-stream entry to `c`.
-fn dispatch_sync<C: IndexedConsumer>(sync: &SyncIndex, idx: u64, e: &crate::trace::TraceEvent, c: &mut C) {
-    let (t, site) = (e.thread, e.site);
-    match e.kind {
-        TraceEventKind::Acquire => c.acquire(idx, t, site, LockId(e.arg as u32)),
-        TraceEventKind::Release => c.release(idx, t, site, LockId(e.arg as u32)),
-        TraceEventKind::Signal => c.signal(idx, t, site, CondId(e.arg as u32)),
-        TraceEventKind::Wait => c.wait(idx, t, site, CondId(e.arg as u32)),
-        TraceEventKind::Spawn => c.spawn(idx, t, site, ThreadId(e.arg as u32)),
-        TraceEventKind::Join => c.join(idx, t, site, ThreadId(e.arg as u32)),
-        TraceEventKind::BarrierRelease => {
-            let (b, arrivals) = sync.release_arrivals(e.arg);
-            c.barrier_release(idx, b, arrivals);
+/// A slice of consumers broadcasts: every event goes to each consumer in
+/// slice order ([`EventLog::replay_many`]).
+impl<C: TraceConsumer> TraceConsumer for [C] {
+    #[inline(always)]
+    fn event(&mut self, idx: u64, ev: Event<'_>) {
+        for c in self {
+            c.event(idx, ev);
         }
-        TraceEventKind::ChanSend => c.chan_send(idx, t, site, ChanId(e.arg as u32)),
-        TraceEventKind::ChanRecv => c.chan_recv(idx, t, site, ChanId(e.arg as u32)),
-        other => unreachable!("non-sync kind {other:?} in a SyncIndex"),
     }
 }
 
@@ -267,103 +179,75 @@ fn dispatch_sync<C: IndexedConsumer>(sync: &SyncIndex, idx: u64, e: &crate::trac
 /// Both inputs are index-sorted by construction and an event is either
 /// an access or a sync event (indices are disjoint), so a strict `<`
 /// comparison fully determines the merge. The dispatched sequence is
-/// exactly the subsequence of the source log this consumer would have
-/// acted on under a full [`EventLog::replay`] walk, in the same order —
-/// which is why detectors built on this path produce byte-identical
-/// results while touching O(slice + sync) events instead of O(log).
-pub fn replay_indexed<C: IndexedConsumer>(
+/// exactly the subsequence of the source log's [`EventLog::replay`]
+/// stream that this shard acts on, with the same indices and in the
+/// same order — which is why detectors built on this path produce
+/// byte-identical results while touching O(slice + sync) events instead
+/// of O(log).
+pub fn replay_indexed<C: TraceConsumer + ?Sized>(
     sync: &SyncIndex,
-    accesses: &[IndexedAccess],
+    accesses: &[(u64, TraceEvent)],
     consumer: &mut C,
 ) {
-    let syncs = sync.events();
-    let (mut ai, mut si) = (0, 0);
-    while ai < accesses.len() && si < syncs.len() {
-        if accesses[ai].idx < syncs[si].0 {
-            consumer.access(&accesses[ai]);
-            ai += 1;
-        } else {
-            let (idx, e) = &syncs[si];
-            dispatch_sync(sync, *idx, e, consumer);
-            si += 1;
+    let table = sync.table();
+    let mut syncs = sync.events().iter().peekable();
+    for (idx, e) in accesses {
+        while let Some((s_idx, s)) = syncs.next_if(|(s_idx, _)| s_idx < idx) {
+            table.dispatch(*s_idx, s, consumer);
         }
+        table.dispatch(*idx, e, consumer);
     }
-    for a in &accesses[ai..] {
-        consumer.access(a);
-    }
-    for (idx, e) in &syncs[si..] {
-        dispatch_sync(sync, *idx, e, consumer);
+    for (s_idx, s) in syncs {
+        table.dispatch(*s_idx, s, consumer);
     }
 }
 
-/// One shard's result from a [`fan_out_indexed`] pass.
-#[derive(Debug)]
-pub struct IndexedShardReport<C> {
-    /// The consumer, after consuming its merged view.
-    pub consumer: C,
-    /// The shard this consumer served.
-    pub shard: usize,
-    /// Wall-clock nanoseconds of this shard's merge pass.
-    pub wall_ns: u64,
-    /// Events this shard dispatched: its access slice plus the shared
-    /// sync stream (*not* the full log length — the asymmetry is the
-    /// point of the indexed path).
-    pub events: u64,
-}
-
-/// Runs one [`IndexedConsumer`] per shard over (its slice of
-/// `partition` + the shared `sync` stream), the sharded counterpart of
-/// [`fan_out`].
+/// Maps `job` over `inputs` on scoped threads and returns the results in
+/// input order — the one runner under [`fan_out`] and the sharded
+/// detectors.
 ///
-/// `consumers[i]` serves shard `i`; the vector length must equal
-/// `partition.shards()`. With `parallel`, shards run on scoped threads
-/// (they share only the read-only index); otherwise they run
-/// sequentially on the calling thread, which is the right mode on
-/// single-core hosts and for clean per-shard wall times. Results are in
-/// shard order either way, and the per-shard event sequences — hence
-/// detector outcomes — are identical in both modes.
-pub fn fan_out_indexed<C: IndexedConsumer + Send>(
-    sync: &SyncIndex,
-    partition: &AccessPartition,
-    consumers: Vec<C>,
-    parallel: bool,
-) -> Vec<IndexedShardReport<C>> {
-    assert_eq!(
-        consumers.len(),
-        partition.shards(),
-        "one consumer per shard"
-    );
-    let run_one = |shard: usize, mut consumer: C| -> IndexedShardReport<C> {
-        let slice = partition.slice(shard);
-        let t0 = Instant::now();
-        replay_indexed(sync, slice, &mut consumer);
-        IndexedShardReport {
-            consumer,
-            shard,
-            wall_ns: t0.elapsed().as_nanos() as u64,
-            events: slice.len() as u64 + sync.len() as u64,
-        }
-    };
-    if !parallel || consumers.len() == 1 {
-        return consumers
+/// Runs on `min(inputs, width, available_parallelism)` threads, each
+/// claiming the next unclaimed input until none are left. With one
+/// thread (a single input, `width <= 1`, or a one-core host) the inputs
+/// run in order on the calling thread, so extra jobs never time-slice
+/// one core. `job` receives each input's position.
+pub fn par_map<I: Send, O: Send>(
+    inputs: Vec<I>,
+    width: usize,
+    job: impl Fn(usize, I) -> O + Sync,
+) -> Vec<O> {
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = width.min(hw).min(inputs.len());
+    if threads <= 1 {
+        return inputs
             .into_iter()
             .enumerate()
-            .map(|(s, c)| run_one(s, c))
+            .map(|(i, x)| job(i, x))
             .collect();
     }
-    let mut slots: Vec<Option<IndexedShardReport<C>>> =
-        consumers.iter().map(|_| None).collect();
+    let jobs: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    let slots: Vec<Mutex<Option<O>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    // `Relaxed` suffices: the counter only hands out indices, and each
+    // job's data moves through its own mutex.
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for (shard, (slot, consumer)) in slots.iter_mut().zip(consumers).enumerate() {
-            let run_one = &run_one;
-            scope.spawn(move || {
-                *slot = Some(run_one(shard, consumer));
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = jobs.get(i) else { break };
+                let input = slot.lock().expect("job poisoned").take();
+                let out = job(i, input.expect("each job is claimed once"));
+                *slots[i].lock().expect("slot poisoned") = Some(out);
             });
         }
     });
     slots
         .into_iter()
-        .map(|s| s.expect("every shard thread fills its slot"))
+        .map(|m| {
+            m.into_inner()
+                .expect("slot poisoned")
+                .expect("every job ran")
+        })
         .collect()
 }
 
@@ -385,41 +269,34 @@ pub struct FanOutReport<C> {
     pub events: u64,
 }
 
-/// One fan-out group's consumers, tagged with their input indices so
-/// results scatter back to input order afterwards.
-type Bucket<C> = Vec<(usize, C)>;
-
-/// One fan-out group's finished reports, tagged like [`Bucket`].
-type GroupResult<C> = Vec<(usize, FanOutReport<C>)>;
-
 /// Replays one shared [`EventLog`] into every consumer — the
 /// multi-consumer fan-out of the parallel replay engine.
 ///
 /// Consumers are split round-robin into at most `width` groups; each
 /// group rides **one** broadcast pass over the log
 /// ([`EventLog::replay_many`]: every event decoded once, dispatched to
-/// the whole group), and groups run concurrently on scoped threads. The
-/// group count is additionally capped at the machine's available
+/// the whole group), and groups run concurrently through [`par_map`].
+/// The group count is additionally capped at the machine's available
 /// parallelism — an extra group means an extra walk of the log, which
 /// costs memory bandwidth without buying any concurrency once every
 /// core already has a walk.
 ///
-/// Each consumer observes the *identical* call sequence
-/// [`EventLog::replay`] produces, so results are byte-identical to a
-/// serial loop over the consumers regardless of `width`, the group
-/// assignment, or the core count; the log is read-only and shared, so
-/// nothing is re-read or re-decoded per consumer within a group.
-/// Results come back in input order regardless of completion order.
+/// Each consumer observes the *identical* sequence [`EventLog::replay`]
+/// produces, so results are byte-identical to a serial loop over the
+/// consumers regardless of `width`, the group assignment, or the core
+/// count; the log is read-only and shared, so nothing is re-read or
+/// re-decoded per consumer within a group. Results come back in input
+/// order regardless of completion order.
 ///
 /// ```
-/// use txrace_sim::replay::{fan_out, TraceConsumer};
-/// use txrace_sim::{record_run, ProgramBuilder, RoundRobin, StepLimit, ThreadId};
+/// use txrace_sim::replay::{fan_out, Event, TraceConsumer};
+/// use txrace_sim::{record_run, ProgramBuilder, RoundRobin, StepLimit};
 ///
 /// #[derive(Default)]
 /// struct CountWrites(u64);
 /// impl TraceConsumer for CountWrites {
-///     fn write(&mut self, _: ThreadId, _: txrace_sim::SiteId, _: txrace_sim::Addr) {
-///         self.0 += 1;
+///     fn event(&mut self, _idx: u64, ev: Event<'_>) {
+///         self.0 += u64::from(matches!(ev, Event::Write { .. }));
 ///     }
 /// }
 ///
@@ -439,86 +316,39 @@ pub fn fan_out<C: TraceConsumer + Send>(
     width: usize,
 ) -> Vec<FanOutReport<C>> {
     let n = consumers.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let events = log.len() as u64;
     let hw = std::thread::available_parallelism().map_or(1, |v| v.get());
     let groups = width.clamp(1, hw).min(n);
-
-    // Round-robin assignment; each bucket keeps its consumers' input
-    // indices so results scatter back to input order afterwards.
-    let mut buckets: Vec<Bucket<C>> = (0..groups).map(|_| Vec::new()).collect();
-    for (i, c) in consumers.into_iter().enumerate() {
-        buckets[i % groups].push((i, c));
+    if groups == 0 {
+        return Vec::new();
     }
-    let run_group = |group: usize, bucket: Bucket<C>| -> GroupResult<C> {
-        let (idxs, mut cs): (Vec<usize>, Vec<C>) = bucket.into_iter().unzip();
+    // Round-robin assignment: consumer `i` rides group `i % groups` at
+    // position `i / groups`, which is how results return to input order.
+    let mut buckets: Vec<Vec<C>> = (0..groups).map(|_| Vec::new()).collect();
+    for (i, c) in consumers.into_iter().enumerate() {
+        buckets[i % groups].push(c);
+    }
+    let events = log.len() as u64;
+    let mut finished = par_map(buckets, groups, |group, mut cs| {
         let t0 = Instant::now();
         log.replay_many(&mut cs);
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        idxs.into_iter()
-            .zip(cs)
-            .map(|(i, consumer)| {
-                (
-                    i,
-                    FanOutReport {
-                        consumer,
-                        group,
-                        wall_ns,
-                        events,
-                    },
-                )
-            })
-            .collect()
-    };
-
-    let finished: Vec<GroupResult<C>> = if groups == 1 {
-        vec![run_group(0, buckets.pop().expect("one bucket"))]
-    } else {
-        let jobs: Vec<Mutex<Option<Bucket<C>>>> =
-            buckets.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        let slots: Vec<Mutex<Option<GroupResult<C>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..groups {
-                scope.spawn(|| loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= jobs.len() {
-                        break;
-                    }
-                    let bucket = jobs[g]
-                        .lock()
-                        .expect("fan-out job poisoned")
-                        .take()
-                        .expect("each group is claimed once");
-                    *slots[g].lock().expect("fan-out slot poisoned") = Some(run_group(g, bucket));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("fan-out slot poisoned")
-                    .expect("worker filled every claimed slot")
-            })
-            .collect()
-    };
-
-    let mut out: Vec<Option<FanOutReport<C>>> = (0..n).map(|_| None).collect();
-    for (i, r) in finished.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("every input index is carried by exactly one group"))
+        cs.into_iter().map(move |consumer| FanOutReport {
+            consumer,
+            group,
+            wall_ns,
+            events,
+        })
+    });
+    (0..n)
+        .map(|i| finished[i % groups].next().expect("group holds its share"))
         .collect()
 }
 
 /// Adapts a [`TraceConsumer`] to the live [`Runtime`] interface: memory
 /// effects are applied directly (like [`crate::DirectRuntime`]) and every
-/// schedule-visible event is forwarded to the consumer as it happens.
+/// schedule-visible event is forwarded to the consumer as it happens,
+/// numbered in the order it fires — the same index a replay of the
+/// recorded log gives it.
 ///
 /// `Live<C>` never rolls back and never alters state beyond the direct
 /// memory effects the program itself demands, so wrapping a consumer in
@@ -528,14 +358,14 @@ pub fn fan_out<C: TraceConsumer + Send>(
 /// `Live<SomeDetector>` run observes under the same seed.
 ///
 /// ```
-/// use txrace_sim::replay::{Live, TraceConsumer};
-/// use txrace_sim::{Machine, ProgramBuilder, RoundRobin, ThreadId};
+/// use txrace_sim::replay::{Event, Live, TraceConsumer};
+/// use txrace_sim::{Machine, ProgramBuilder, RoundRobin};
 ///
 /// #[derive(Default)]
 /// struct CountWrites(u64);
 /// impl TraceConsumer for CountWrites {
-///     fn write(&mut self, _: ThreadId, _: txrace_sim::SiteId, _: txrace_sim::Addr) {
-///         self.0 += 1;
+///     fn event(&mut self, _idx: u64, ev: Event<'_>) {
+///         self.0 += u64::from(matches!(ev, Event::Write { .. }));
 ///     }
 /// }
 ///
@@ -550,12 +380,14 @@ pub fn fan_out<C: TraceConsumer + Send>(
 #[derive(Debug)]
 pub struct Live<C> {
     consumer: C,
+    /// Index of the next event.
+    next: u64,
 }
 
 impl<C: TraceConsumer> Live<C> {
     /// Wraps `consumer` for a live run.
     pub fn new(consumer: C) -> Self {
-        Live { consumer }
+        Live { consumer, next: 0 }
     }
 
     /// The wrapped consumer.
@@ -572,6 +404,11 @@ impl<C: TraceConsumer> Live<C> {
     pub fn into_inner(self) -> C {
         self.consumer
     }
+
+    fn emit(&mut self, ev: Event<'_>) {
+        self.consumer.event(self.next, ev);
+        self.next += 1;
+    }
 }
 
 impl<C: TraceConsumer> Runtime for Live<C> {
@@ -580,27 +417,31 @@ impl<C: TraceConsumer> Runtime for Live<C> {
         // the resolved address / completion is known); barrier arrivals
         // are reported here because the release hook fires only once for
         // the whole group. Instrumentation markers are not events.
+        let (t, site) = (ev.thread, ev.site);
         match ev.op {
-            Op::Compute(n) => self.consumer.compute(ev.thread, ev.site, n),
-            Op::Syscall(k) => self.consumer.syscall(ev.thread, ev.site, k),
-            Op::Barrier(b) => self.consumer.barrier_arrive(ev.thread, ev.site, b),
+            Op::Compute(units) => self.emit(Event::Compute { t, site, units }),
+            Op::Syscall(kind) => self.emit(Event::Syscall { t, site, kind }),
+            Op::Barrier(b) => self.emit(Event::BarrierArrive { t, site, b }),
             _ => {}
         }
         Directive::Continue
     }
 
     fn read(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
-        self.consumer.read(ev.thread, ev.site, addr);
+        let (t, site) = (ev.thread, ev.site);
+        self.emit(Event::Read { t, site, addr });
         mem.load(addr)
     }
 
     fn write(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
-        self.consumer.write(ev.thread, ev.site, addr);
+        let (t, site) = (ev.thread, ev.site);
+        self.emit(Event::Write { t, site, addr });
         mem.store(addr, val);
     }
 
     fn rmw(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
-        self.consumer.rmw(ev.thread, ev.site, addr);
+        let (t, site) = (ev.thread, ev.site);
+        self.emit(Event::Rmw { t, site, addr });
         let old = mem.load(addr);
         mem.store(addr, old.wrapping_add(delta));
         old
@@ -608,63 +449,59 @@ impl<C: TraceConsumer> Runtime for Live<C> {
 
     fn after_sync(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) {
         let (t, site) = (ev.thread, ev.site);
-        match ev.op {
-            Op::Lock(l) => self.consumer.acquire(t, site, l),
-            Op::Unlock(l) => self.consumer.release(t, site, l),
-            Op::Signal(c) => self.consumer.signal(t, site, c),
-            Op::Wait(c) => self.consumer.wait(t, site, c),
-            Op::Spawn(u) => self.consumer.spawn(t, site, u),
-            Op::Join(u) => self.consumer.join(t, site, u),
-            Op::ChanSend(ch) => self.consumer.chan_send(t, site, ch),
-            Op::ChanRecv(ch) => self.consumer.chan_recv(t, site, ch),
-            _ => {}
-        }
+        let sync = match ev.op {
+            Op::Lock(l) => Event::Acquire { t, site, l },
+            Op::Unlock(l) => Event::Release { t, site, l },
+            Op::Signal(c) => Event::Signal { t, site, c },
+            Op::Wait(c) => Event::Wait { t, site, c },
+            Op::Spawn(child) => Event::Spawn { t, site, child },
+            Op::Join(child) => Event::Join { t, site, child },
+            Op::ChanSend(ch) => Event::ChanSend { t, site, ch },
+            Op::ChanRecv(ch) => Event::ChanRecv { t, site, ch },
+            _ => return,
+        };
+        self.emit(sync);
     }
 
     fn after_barrier(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.consumer.barrier_release(b, arrivals);
+        self.emit(Event::BarrierRelease { b, arrivals });
     }
 
     fn on_thread_done(&mut self, t: ThreadId) {
-        self.consumer.thread_done(t);
+        self.emit(Event::ThreadDone { t });
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::exec::StepLimit;
     use crate::ir::ProgramBuilder;
     use crate::sched::RoundRobin;
+    use crate::trace::{record_run, AccessPartition, TraceEventKind as K};
     use crate::{Machine, RunStatus};
 
-    /// Records the method-call sequence as strings, for order assertions.
-    #[derive(Default)]
-    struct Script(Vec<String>);
+    /// Records the `(idx, event)` sequence, with events rendered by
+    /// `Debug` (which spells out barrier arrival lists), for order and
+    /// equality assertions.
+    #[derive(Debug, Default, PartialEq)]
+    pub(crate) struct Script(pub Vec<(u64, String)>);
 
     impl TraceConsumer for Script {
-        fn read(&mut self, t: ThreadId, _s: SiteId, a: Addr) {
-            self.0.push(format!("r {t} {a}"));
+        fn event(&mut self, idx: u64, ev: Event<'_>) {
+            self.0.push((idx, format!("{ev:?}")));
         }
-        fn write(&mut self, t: ThreadId, _s: SiteId, a: Addr) {
-            self.0.push(format!("w {t} {a}"));
-        }
-        fn rmw(&mut self, t: ThreadId, _s: SiteId, a: Addr) {
-            self.0.push(format!("rmw {t} {a}"));
-        }
-        fn acquire(&mut self, t: ThreadId, _s: SiteId, l: LockId) {
-            self.0.push(format!("acq {t} {l}"));
-        }
-        fn release(&mut self, t: ThreadId, _s: SiteId, l: LockId) {
-            self.0.push(format!("rel {t} {l}"));
-        }
-        fn barrier_arrive(&mut self, t: ThreadId, _s: SiteId, b: BarrierId) {
-            self.0.push(format!("arr {t} {b}"));
-        }
-        fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-            self.0.push(format!("relbar {b} x{}", arrivals.len()));
-        }
-        fn thread_done(&mut self, t: ThreadId) {
-            self.0.push(format!("done {t}"));
+    }
+
+    impl Script {
+        /// Positions of the events whose rendering starts with `kind`.
+        fn positions(&self, kind: &str) -> Vec<usize> {
+            let hits = self
+                .0
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, e))| e.starts_with(kind));
+            hits.map(|(i, _)| i).collect()
         }
     }
 
@@ -682,50 +519,58 @@ mod tests {
         let mut m = Machine::new(&p);
         let r = m.run(&mut rt, &mut RoundRobin::new());
         assert_eq!(r.status, RunStatus::Done);
-        let script = rt.into_inner().0;
+        let script = rt.into_inner();
+        // Live numbers events consecutively from 0.
+        assert!(script
+            .0
+            .iter()
+            .enumerate()
+            .all(|(i, (idx, _))| *idx == i as u64));
         // t0 runs its whole critical section while t1 blocks on the lock
         // (blocked attempts produce no events), then both arrive at the
-        // barrier and one release fires.
-        let arr: Vec<_> = script.iter().filter(|s| s.starts_with("arr")).collect();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(script.iter().filter(|s| s.starts_with("relbar")).count(), 1);
-        assert_eq!(script.iter().filter(|s| s.starts_with("acq")).count(), 2);
-        assert_eq!(script.iter().filter(|s| s.starts_with("done")).count(), 2);
-        // The release event follows both arrivals.
-        let rel_pos = script.iter().position(|s| s.starts_with("relbar")).unwrap();
-        let last_arr = script.iter().rposition(|s| s.starts_with("arr")).unwrap();
-        assert!(rel_pos > last_arr);
+        // barrier and one release fires, after both arrivals.
+        let arrivals = script.positions("BarrierArrive");
+        let release = script.positions("BarrierRelease");
+        assert_eq!(arrivals.len(), 2);
+        assert_eq!(release.len(), 1);
+        assert_eq!(script.positions("Acquire").len(), 2);
+        assert_eq!(script.positions("ThreadDone").len(), 2);
+        assert!(release[0] > arrivals[1]);
     }
 
-    #[test]
-    fn fan_out_matches_serial_replay_for_every_width() {
-        use crate::exec::StepLimit;
-        use crate::trace::record_run;
-
+    fn locked_barrier_log(seed: u64) -> EventLog {
         let mut b = ProgramBuilder::new(3);
         let x = b.var("x");
         let l = b.lock_id("l");
         let bar = b.barrier_id("bar");
         for t in 0..3 {
-            b.thread(t).lock(l).rmw(x, 1).unlock(l).barrier(bar).read(x);
+            b.thread(t)
+                .write(x, t as u64)
+                .lock(l)
+                .rmw(x, 1)
+                .unlock(l)
+                .barrier(bar)
+                .read(x);
         }
         let p = b.build();
-        let mut sched = crate::sched::RandomSched::new(11);
-        let log = record_run(&p, &mut sched, StepLimit::default());
+        record_run(
+            &p,
+            &mut crate::sched::RandomSched::new(seed),
+            StepLimit::default(),
+        )
+    }
 
-        let serial: Vec<Vec<String>> = (0..4)
-            .map(|_| {
-                let mut c = Script::default();
-                log.replay(&mut c);
-                c.0
-            })
-            .collect();
+    #[test]
+    fn fan_out_matches_serial_replay_for_every_width() {
+        let log = locked_barrier_log(11);
+        let mut serial = Script::default();
+        log.replay(&mut serial);
         for width in [1, 2, 4, 8] {
-            let consumers: Vec<Script> = (0..4).map(|_| Script::default()).collect();
+            let consumers: Vec<Script> = (0..5).map(|_| Script::default()).collect();
             let reports = fan_out(&log, consumers, width);
-            assert_eq!(reports.len(), 4);
-            for (r, want) in reports.iter().zip(&serial) {
-                assert_eq!(&r.consumer.0, want, "width={width}");
+            assert_eq!(reports.len(), 5);
+            for r in &reports {
+                assert_eq!(r.consumer, serial, "width={width}");
                 assert_eq!(r.events, log.len() as u64);
             }
         }
@@ -733,14 +578,11 @@ mod tests {
 
     #[test]
     fn fan_out_accepts_boxed_heterogeneous_consumers() {
-        use crate::exec::StepLimit;
-        use crate::trace::record_run;
-
         #[derive(Default)]
         struct CountReads(u64);
         impl TraceConsumer for CountReads {
-            fn read(&mut self, _: ThreadId, _: SiteId, _: Addr) {
-                self.0 += 1;
+            fn event(&mut self, _: u64, ev: Event<'_>) {
+                self.0 += u64::from(matches!(ev, Event::Read { .. }));
             }
         }
 
@@ -758,94 +600,36 @@ mod tests {
 
     #[test]
     fn replay_many_matches_replay_per_consumer() {
-        use crate::exec::StepLimit;
-        use crate::trace::record_run;
-
-        let mut b = ProgramBuilder::new(3);
-        let x = b.var("x");
-        let l = b.lock_id("l");
-        let bar = b.barrier_id("bar");
-        for t in 0..3 {
-            b.thread(t)
-                .write(x, t as u64)
-                .lock(l)
-                .rmw(x, 1)
-                .unlock(l)
-                .barrier(bar)
-                .read(x);
-        }
-        let p = b.build();
-        let mut sched = crate::sched::RandomSched::new(5);
-        let log = record_run(&p, &mut sched, StepLimit::default());
-
+        let log = locked_barrier_log(5);
         let mut want = Script::default();
         log.replay(&mut want);
         let mut many: Vec<Script> = (0..3).map(|_| Script::default()).collect();
         log.replay_many(&mut many);
         for m in &many {
-            assert_eq!(m.0, want.0, "broadcast must equal per-consumer replay");
+            assert_eq!(m, &want, "broadcast must equal per-consumer replay");
         }
     }
 
     #[test]
     fn fan_out_of_nothing_is_empty() {
-        use crate::exec::StepLimit;
-        use crate::trace::record_run;
-
-        let mut b = ProgramBuilder::new(1);
-        let x = b.var("x");
-        b.thread(0).write(x, 1);
-        let p = b.build();
-        let log = record_run(&p, &mut RoundRobin::new(), StepLimit::default());
+        let log = locked_barrier_log(1);
         let none: Vec<Script> = vec![];
         assert!(fan_out(&log, none, 4).is_empty());
     }
 
-    /// Records the indexed call sequence as strings, for merge-order
-    /// assertions against the raw log.
-    #[derive(Default, Debug, PartialEq)]
-    struct IndexedScript(Vec<String>);
-
-    impl IndexedConsumer for IndexedScript {
-        fn access(&mut self, a: &IndexedAccess) {
-            let k = if a.is_write { "w" } else { "r" };
-            self.0.push(format!("{} {k} {} {}", a.idx, a.thread, a.addr));
+    #[test]
+    fn par_map_returns_results_in_input_order() {
+        for width in [0, 1, 2, 3, 8] {
+            let out = par_map((0..10u64).collect(), width, |i, x| (i, x * x));
+            let want: Vec<(usize, u64)> = (0..10).map(|i| (i as usize, i * i)).collect();
+            assert_eq!(out, want, "width={width}");
         }
-        fn acquire(&mut self, idx: u64, t: ThreadId, _s: SiteId, l: LockId) {
-            self.0.push(format!("{idx} acq {t} {l}"));
-        }
-        fn release(&mut self, idx: u64, t: ThreadId, _s: SiteId, l: LockId) {
-            self.0.push(format!("{idx} rel {t} {l}"));
-        }
-        fn signal(&mut self, idx: u64, t: ThreadId, _s: SiteId, c: CondId) {
-            self.0.push(format!("{idx} sig {t} {c}"));
-        }
-        fn wait(&mut self, idx: u64, t: ThreadId, _s: SiteId, c: CondId) {
-            self.0.push(format!("{idx} wait {t} {c}"));
-        }
-        fn spawn(&mut self, idx: u64, t: ThreadId, _s: SiteId, u: ThreadId) {
-            self.0.push(format!("{idx} spawn {t} {u}"));
-        }
-        fn join(&mut self, idx: u64, t: ThreadId, _s: SiteId, u: ThreadId) {
-            self.0.push(format!("{idx} join {t} {u}"));
-        }
-        fn barrier_release(&mut self, idx: u64, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-            self.0.push(format!("{idx} relbar {b} x{}", arrivals.len()));
-        }
-        fn chan_send(&mut self, idx: u64, t: ThreadId, _s: SiteId, ch: ChanId) {
-            self.0.push(format!("{idx} send {t} {ch}"));
-        }
-        fn chan_recv(&mut self, idx: u64, t: ThreadId, _s: SiteId, ch: ChanId) {
-            self.0.push(format!("{idx} recv {t} {ch}"));
-        }
+        assert!(par_map(Vec::<u8>::new(), 4, |_, x| x).is_empty());
     }
 
     /// A 3-thread log with locks, a barrier, channels, and enough
     /// distinct addresses that a partition spreads across shards.
     fn indexed_fixture() -> EventLog {
-        use crate::exec::StepLimit;
-        use crate::trace::record_run;
-
         let mut b = ProgramBuilder::new(3);
         let vars: Vec<_> = (0..6).map(|i| b.var(&format!("v{i}"))).collect();
         let l = b.lock_id("l");
@@ -856,7 +640,12 @@ mod tests {
             for &v in &vars {
                 tb.write(v, t as u64 + 1);
             }
-            tb.send(ch).lock(l).rmw(vars[0], 1).unlock(l).barrier(bar).recv(ch);
+            tb.send(ch)
+                .lock(l)
+                .rmw(vars[0], 1)
+                .unlock(l)
+                .barrier(bar)
+                .recv(ch);
             for &v in &vars {
                 tb.read(v);
             }
@@ -871,68 +660,27 @@ mod tests {
         let log = indexed_fixture();
         let sync = SyncIndex::of(&log);
         let route = |a: Addr, n: usize| (a.0 as usize / 8) % n;
+        let mut serial = Script::default();
+        log.replay(&mut serial);
         for shards in [1usize, 2, 4] {
             let part = AccessPartition::of(&log, shards, route);
             for shard in 0..shards {
-                let mut got = IndexedScript::default();
+                let mut got = Script::default();
                 replay_indexed(&sync, part.slice(shard), &mut got);
-                // Expected: the log's own order, restricted to this
+                // Expected: the serial sequence, restricted to this
                 // shard's accesses plus all sync events.
-                let mut want = IndexedScript::default();
-                for (i, e) in log.events().iter().enumerate() {
-                    let idx = i as u64;
+                let keep = |idx: u64| {
+                    let e = log.events()[idx as usize];
                     match e.kind {
-                        TraceEventKind::Read | TraceEventKind::Write
-                            if route(Addr(e.arg), shards) == shard =>
-                        {
-                            want.access(&IndexedAccess {
-                                idx,
-                                thread: e.thread,
-                                site: e.site,
-                                addr: Addr(e.arg),
-                                is_write: e.kind == TraceEventKind::Write,
-                            });
+                        K::Read | K::Write => route(Addr(e.arg), shards) == shard,
+                        K::Rmw | K::BarrierArrive | K::Compute | K::Syscall | K::ThreadDone => {
+                            false
                         }
-                        TraceEventKind::Acquire => {
-                            want.acquire(idx, e.thread, e.site, LockId(e.arg as u32))
-                        }
-                        TraceEventKind::Release => {
-                            want.release(idx, e.thread, e.site, LockId(e.arg as u32))
-                        }
-                        TraceEventKind::BarrierRelease => {
-                            let (bar, arr) = log.release_arrivals(e.arg);
-                            want.barrier_release(idx, bar, arr);
-                        }
-                        TraceEventKind::ChanSend => {
-                            want.chan_send(idx, e.thread, e.site, ChanId(e.arg as u32))
-                        }
-                        TraceEventKind::ChanRecv => {
-                            want.chan_recv(idx, e.thread, e.site, ChanId(e.arg as u32))
-                        }
-                        _ => {}
+                        _ => true,
                     }
-                }
-                assert_eq!(got, want, "shards={shards} shard={shard}");
-            }
-        }
-    }
-
-    #[test]
-    fn fan_out_indexed_parallel_matches_sequential() {
-        let log = indexed_fixture();
-        let sync = SyncIndex::of(&log);
-        let route = |a: Addr, n: usize| (a.0 as usize / 8) % n;
-        for shards in [1usize, 2, 4, 8] {
-            let part = AccessPartition::of(&log, shards, route);
-            let mk = || (0..shards).map(|_| IndexedScript::default()).collect::<Vec<_>>();
-            let seq = fan_out_indexed(&sync, &part, mk(), false);
-            let par = fan_out_indexed(&sync, &part, mk(), true);
-            assert_eq!(seq.len(), shards);
-            for (s, p) in seq.iter().zip(&par) {
-                assert_eq!(s.shard, p.shard);
-                assert_eq!(s.consumer, p.consumer, "shards={shards}");
-                assert_eq!(s.events, part.slice(s.shard).len() as u64 + sync.len() as u64);
-                assert_eq!(s.events, p.events);
+                };
+                let want: Vec<_> = serial.0.iter().filter(|(i, _)| keep(*i)).cloned().collect();
+                assert_eq!(got.0, want, "shards={shards} shard={shard}");
             }
         }
     }

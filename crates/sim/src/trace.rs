@@ -1,77 +1,28 @@
 //! Execution tracing: the replayable [`EventLog`] that the record/replay
-//! pipeline is built on, plus the older [`Recording`] adapter that wraps
-//! an inner runtime for debugging and test assertions.
+//! pipeline is built on, and its wire format.
 //!
 //! An [`EventLog`] is recorded in one interpreter pass (see
 //! [`record_run`]) and can then be replayed into any number of
-//! [`TraceConsumer`]s — each replay observes the *identical* method-call
-//! sequence a live pure observer would have seen under the same seed, so
-//! detection results are bit-identical between the two paths. Logs are
-//! compact: one 24-byte [`TraceEvent`] per schedule-visible event, all
-//! identities dense `u32` ids, barrier arrival lists stored once in a
-//! side table.
+//! [`TraceConsumer`]s — each replay observes the *identical*
+//! `(index, event)` sequence a live pure observer would have seen under
+//! the same seed, so detection results are bit-identical between the
+//! two paths. Logs are compact: one 24-byte [`TraceEvent`] per
+//! schedule-visible event, all identities dense `u32` ids, barrier
+//! arrival lists stored once in a side table.
+//!
+//! This module owns the whole wire format: `ReleaseTable::encode` turns
+//! an [`Event`] into its stored form, and `ReleaseTable::dispatch` is
+//! the one place a stored event becomes an [`Event`] again. Every replay
+//! driver — [`EventLog::replay`], [`EventLog::replay_many`], and the
+//! shard merge [`crate::replay::replay_indexed`] — goes through it.
 
 use crate::addr::Addr;
-use crate::exec::{Directive, OpEvent, RunResult, RunStatus, Runtime, StepLimit};
+use crate::exec::{RunResult, RunStatus, StepLimit};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
 use crate::ir::{Op, Program, SyscallKind};
 use crate::mem::Memory;
-use crate::replay::{Live, TraceConsumer};
+use crate::replay::{Event, Live, TraceConsumer};
 use crate::sched::Scheduler;
-
-/// One recorded execution event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// A shared-memory access the runtime observed. Note: transactional
-    /// runtimes may later roll an access back; the event is still
-    /// recorded (it reflects what the runtime saw, not the final
-    /// architectural history).
-    Access {
-        /// Global step at which it executed.
-        step: u64,
-        /// Executing thread.
-        thread: ThreadId,
-        /// Static site.
-        site: SiteId,
-        /// Resolved address.
-        addr: Addr,
-        /// True for writes and RMWs.
-        is_write: bool,
-    },
-    /// A synchronization operation that architecturally completed.
-    Sync {
-        /// Global step.
-        step: u64,
-        /// Executing thread.
-        thread: ThreadId,
-        /// Static site.
-        site: SiteId,
-        /// The operation.
-        op: Op,
-    },
-    /// A barrier released with the given participant count.
-    BarrierRelease {
-        /// The barrier.
-        barrier: BarrierId,
-        /// How many threads it released.
-        participants: usize,
-    },
-    /// A thread finished.
-    ThreadDone {
-        /// The thread.
-        thread: ThreadId,
-    },
-}
-
-impl Event {
-    /// The step of this event, if it carries one.
-    pub fn step(&self) -> Option<u64> {
-        match self {
-            Event::Access { step, .. } | Event::Sync { step, .. } => Some(*step),
-            _ => None,
-        }
-    }
-}
 
 /// Classifies one [`TraceEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,13 +124,161 @@ impl OpCensus {
     }
 }
 
+/// The barrier side table of a log: every release's barrier and arrival
+/// list, stored once. A [`TraceEventKind::BarrierRelease`] event's `arg`
+/// indexes it. Both [`EventLog`] and [`SyncIndex`] carry one, and this
+/// type is also the codec between [`Event`] and [`TraceEvent`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ReleaseTable {
+    arrivals: Vec<(ThreadId, SiteId)>,
+    /// `(barrier, first arrival, arrival count)` per release.
+    releases: Vec<(BarrierId, u32, u32)>,
+}
+
+impl ReleaseTable {
+    fn len(&self) -> usize {
+        self.releases.len()
+    }
+
+    /// The barrier and arrival list (thread and arrival site, in arrival
+    /// order) of release `release_idx` — a release event's `arg`.
+    fn get(&self, release_idx: u64) -> (BarrierId, &[(ThreadId, SiteId)]) {
+        let (b, start, len) = self.releases[release_idx as usize];
+        (b, &self.arrivals[start as usize..(start + len) as usize])
+    }
+
+    /// The stored form of `ev`: barrier arrival lists move into the
+    /// table, everything else packs into one [`TraceEvent`]. The
+    /// inverse of [`ReleaseTable::dispatch`].
+    #[inline(always)]
+    pub(crate) fn encode(&mut self, ev: Event<'_>) -> TraceEvent {
+        use TraceEventKind as K;
+        let (kind, thread, site, arg) = match ev {
+            Event::Read { t, site, addr } => (K::Read, t, site, addr.0),
+            Event::Write { t, site, addr } => (K::Write, t, site, addr.0),
+            Event::Rmw { t, site, addr } => (K::Rmw, t, site, addr.0),
+            Event::Acquire { t, site, l } => (K::Acquire, t, site, u64::from(l.0)),
+            Event::Release { t, site, l } => (K::Release, t, site, u64::from(l.0)),
+            Event::Signal { t, site, c } => (K::Signal, t, site, u64::from(c.0)),
+            Event::Wait { t, site, c } => (K::Wait, t, site, u64::from(c.0)),
+            Event::Spawn { t, site, child } => (K::Spawn, t, site, u64::from(child.0)),
+            Event::Join { t, site, child } => (K::Join, t, site, u64::from(child.0)),
+            Event::BarrierArrive { t, site, b } => (K::BarrierArrive, t, site, u64::from(b.0)),
+            Event::BarrierRelease { b, arrivals } => {
+                let idx = self.releases.len() as u64;
+                let start = self.arrivals.len() as u32;
+                self.releases.push((b, start, arrivals.len() as u32));
+                self.arrivals.extend_from_slice(arrivals);
+                (K::BarrierRelease, ThreadId(0), SiteId(0), idx)
+            }
+            Event::Compute { t, site, units } => (K::Compute, t, site, u64::from(units)),
+            Event::Syscall { t, site, kind } => (K::Syscall, t, site, syscall_code(kind)),
+            Event::ChanSend { t, site, ch } => (K::ChanSend, t, site, u64::from(ch.0)),
+            Event::ChanRecv { t, site, ch } => (K::ChanRecv, t, site, u64::from(ch.0)),
+            Event::ThreadDone { t } => (K::ThreadDone, t, SiteId(0), 0),
+        };
+        TraceEvent {
+            kind,
+            thread,
+            site,
+            arg,
+        }
+    }
+
+    /// The one dispatch from stored form to [`Event`]: decodes `e`,
+    /// event `idx` of its stream, whose release index (if any) points
+    /// into this table, and hands the event to `consumer`.
+    ///
+    /// Each arm calls the consumer with an event of a known kind. With
+    /// the consumer inlined, the compiler folds the consumer's own match
+    /// on the event into this one — also for a slice of consumers, whose
+    /// broadcast loop is then specialized per kind. [`EventLog::from_bytes`]
+    /// validates every index this relies on, so dispatching a loaded log
+    /// never panics.
+    #[inline(always)]
+    pub(crate) fn dispatch<C>(&self, idx: u64, e: &TraceEvent, consumer: &mut C)
+    where
+        C: TraceConsumer + ?Sized,
+    {
+        use TraceEventKind as K;
+        // Id-carrying kinds store a `u32` id in `arg`; the casts are free.
+        let (t, site, addr, id) = (e.thread, e.site, Addr(e.arg), e.arg as u32);
+        let (l, c, child, ch, units) = (LockId(id), CondId(id), ThreadId(id), ChanId(id), id);
+        match e.kind {
+            K::Read => consumer.event(idx, Event::Read { t, site, addr }),
+            K::Write => consumer.event(idx, Event::Write { t, site, addr }),
+            K::Rmw => consumer.event(idx, Event::Rmw { t, site, addr }),
+            K::Acquire => consumer.event(idx, Event::Acquire { t, site, l }),
+            K::Release => consumer.event(idx, Event::Release { t, site, l }),
+            K::Signal => consumer.event(idx, Event::Signal { t, site, c }),
+            K::Wait => consumer.event(idx, Event::Wait { t, site, c }),
+            K::Spawn => consumer.event(idx, Event::Spawn { t, site, child }),
+            K::Join => consumer.event(idx, Event::Join { t, site, child }),
+            K::BarrierArrive => {
+                let b = BarrierId(id);
+                consumer.event(idx, Event::BarrierArrive { t, site, b })
+            }
+            K::BarrierRelease => {
+                let (b, arrivals) = self.get(e.arg);
+                consumer.event(idx, Event::BarrierRelease { b, arrivals })
+            }
+            K::ThreadDone => consumer.event(idx, Event::ThreadDone { t }),
+            K::Compute => consumer.event(idx, Event::Compute { t, site, units }),
+            K::Syscall => {
+                let kind = SYSCALL_CODES[e.arg as usize];
+                consumer.event(idx, Event::Syscall { t, site, kind })
+            }
+            K::ChanSend => consumer.event(idx, Event::ChanSend { t, site, ch }),
+            K::ChanRecv => consumer.event(idx, Event::ChanRecv { t, site, ch }),
+        }
+    }
+
+    /// Checks that every release's arrival range lies inside the arrival
+    /// table and names threads below `threads`.
+    fn check_arrivals(&self, threads: usize) -> Result<(), String> {
+        for (i, &(_, start, len)) in self.releases.iter().enumerate() {
+            let end = u64::from(start) + u64::from(len);
+            if end > self.arrivals.len() as u64 {
+                return Err(format!("release {i}: arrivals {start}..{end} out of range"));
+            }
+        }
+        match self.arrivals.iter().find(|(t, _)| t.index() >= threads) {
+            Some((t, _)) => Err(format!("arrival by thread {} of {threads}", t.0)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Checks the indices each event carries against a `threads`-thread log
+/// with `releases` barrier releases: its thread, a spawn or join
+/// target, a release index, and a syscall code.
+fn check_events(events: &[TraceEvent], threads: usize, releases: usize) -> Result<(), String> {
+    // One past the largest valid `arg` per kind; kinds whose `arg`
+    // indexes nothing accept any `u64`. A table keeps the per-event
+    // check free of branches on the kind.
+    let mut arg_end = [u128::MAX; 16];
+    arg_end[TraceEventKind::Spawn as usize] = threads as u128;
+    arg_end[TraceEventKind::Join as usize] = threads as u128;
+    arg_end[TraceEventKind::BarrierRelease as usize] = releases as u128;
+    arg_end[TraceEventKind::Syscall as usize] = SYSCALL_CODES.len() as u128;
+    let bad = |e: &TraceEvent| {
+        (e.thread.index() >= threads) | (u128::from(e.arg) >= arg_end[e.kind as usize])
+    };
+    match events.iter().position(bad) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "event {i} out of range in a {threads}-thread log with {releases} releases: {:?}",
+            events[i]
+        )),
+    }
+}
+
 /// A [`TraceConsumer`] that accumulates the event stream of one run;
 /// [`record_run`] wraps it in [`Live`] and assembles the [`EventLog`].
 #[derive(Debug, Default)]
 pub struct EventLogBuilder {
     events: Vec<TraceEvent>,
-    arrivals: Vec<(ThreadId, SiteId)>,
-    releases: Vec<(BarrierId, u32, u32)>,
+    table: ReleaseTable,
 }
 
 impl EventLogBuilder {
@@ -187,89 +286,13 @@ impl EventLogBuilder {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn push(&mut self, kind: TraceEventKind, thread: ThreadId, site: SiteId, arg: u64) {
-        self.events.push(TraceEvent {
-            kind,
-            thread,
-            site,
-            arg,
-        });
-    }
 }
 
 impl TraceConsumer for EventLogBuilder {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.push(TraceEventKind::Read, t, site, addr.0);
-    }
-
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.push(TraceEventKind::Write, t, site, addr.0);
-    }
-
-    fn rmw(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.push(TraceEventKind::Rmw, t, site, addr.0);
-    }
-
-    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        self.push(TraceEventKind::Acquire, t, site, u64::from(l.0));
-    }
-
-    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        self.push(TraceEventKind::Release, t, site, u64::from(l.0));
-    }
-
-    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        self.push(TraceEventKind::Signal, t, site, u64::from(c.0));
-    }
-
-    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        self.push(TraceEventKind::Wait, t, site, u64::from(c.0));
-    }
-
-    fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        self.push(TraceEventKind::Spawn, t, site, u64::from(child.0));
-    }
-
-    fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        self.push(TraceEventKind::Join, t, site, u64::from(child.0));
-    }
-
-    fn barrier_arrive(&mut self, t: ThreadId, site: SiteId, b: BarrierId) {
-        self.push(TraceEventKind::BarrierArrive, t, site, u64::from(b.0));
-    }
-
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        let start = self.arrivals.len() as u32;
-        self.arrivals.extend_from_slice(arrivals);
-        let idx = self.releases.len() as u64;
-        self.releases.push((b, start, arrivals.len() as u32));
-        self.push(
-            TraceEventKind::BarrierRelease,
-            ThreadId::default(),
-            SiteId::default(),
-            idx,
-        );
-    }
-
-    fn compute(&mut self, t: ThreadId, site: SiteId, units: u32) {
-        self.push(TraceEventKind::Compute, t, site, u64::from(units));
-    }
-
-    fn syscall(&mut self, t: ThreadId, site: SiteId, kind: SyscallKind) {
-        self.push(TraceEventKind::Syscall, t, site, syscall_code(kind));
-    }
-
-    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        self.push(TraceEventKind::ChanSend, t, site, u64::from(ch.0));
-    }
-
-    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        self.push(TraceEventKind::ChanRecv, t, site, u64::from(ch.0));
-    }
-
-    fn thread_done(&mut self, t: ThreadId) {
-        self.push(TraceEventKind::ThreadDone, t, SiteId::default(), 0);
+    #[inline(always)]
+    fn event(&mut self, _idx: u64, ev: Event<'_>) {
+        let e = self.table.encode(ev);
+        self.events.push(e);
     }
 }
 
@@ -282,8 +305,7 @@ impl TraceConsumer for EventLogBuilder {
 pub struct EventLog {
     threads: usize,
     events: Vec<TraceEvent>,
-    arrivals: Vec<(ThreadId, SiteId)>,
-    releases: Vec<(BarrierId, u32, u32)>,
+    table: ReleaseTable,
     census: OpCensus,
     result: RunResult,
     memory: Memory,
@@ -329,8 +351,7 @@ impl EventLog {
     /// (pass the event's `arg`). Returns the barrier and its arrivals in
     /// arrival order.
     pub fn release_arrivals(&self, release_idx: u64) -> (BarrierId, &[(ThreadId, SiteId)]) {
-        let (b, start, len) = self.releases[release_idx as usize];
-        (b, &self.arrivals[start as usize..(start + len) as usize])
+        self.table.get(release_idx)
     }
 
     /// Serializes the log to a stable, self-describing byte format
@@ -365,13 +386,13 @@ impl EventLog {
             out.extend_from_slice(&e.site.0.to_le_bytes());
             put_u64(&mut out, e.arg);
         }
-        put_u64(&mut out, self.arrivals.len() as u64);
-        for &(t, s) in &self.arrivals {
+        put_u64(&mut out, self.table.arrivals.len() as u64);
+        for &(t, s) in &self.table.arrivals {
             out.extend_from_slice(&t.0.to_le_bytes());
             out.extend_from_slice(&s.0.to_le_bytes());
         }
-        put_u64(&mut out, self.releases.len() as u64);
-        for &(b, start, len) in &self.releases {
+        put_u64(&mut out, self.table.releases.len() as u64);
+        for &(b, start, len) in &self.table.releases {
             out.extend_from_slice(&b.0.to_le_bytes());
             out.extend_from_slice(&start.to_le_bytes());
             out.extend_from_slice(&len.to_le_bytes());
@@ -386,11 +407,17 @@ impl EventLog {
 
     /// Deserializes a log written by [`to_bytes`](EventLog::to_bytes).
     ///
+    /// Every index a replay later relies on is checked here, so a log
+    /// that loads can be replayed by any detector without panicking:
+    /// event threads, spawn/join targets and arrival threads below the
+    /// thread count, release indices below the release count, arrival
+    /// ranges inside the arrival table, and syscall codes in range.
+    ///
     /// # Errors
     ///
     /// A description of the corruption (bad magic, unknown version,
-    /// truncation, invalid event kind). Cache readers treat any error as
-    /// a miss and re-record.
+    /// truncation, invalid event kind, out-of-range index). Cache
+    /// readers treat any error as a miss and re-record.
     pub fn from_bytes(bytes: &[u8]) -> Result<EventLog, String> {
         let mut c = Cursor { b: bytes, pos: 0 };
         if c.u64()? != LOG_MAGIC {
@@ -431,15 +458,18 @@ impl EventLog {
                 arg: c.u64()?,
             });
         }
+        let mut table = ReleaseTable::default();
         let n_arrivals = c.u64()? as usize;
-        let mut arrivals = Vec::with_capacity(n_arrivals.min(bytes.len() / 8));
+        table.arrivals.reserve(n_arrivals.min(bytes.len() / 8));
         for _ in 0..n_arrivals {
-            arrivals.push((ThreadId(c.u32()?), SiteId(c.u32()?)));
+            table.arrivals.push((ThreadId(c.u32()?), SiteId(c.u32()?)));
         }
         let n_releases = c.u64()? as usize;
-        let mut releases = Vec::with_capacity(n_releases.min(bytes.len() / 12));
+        table.releases.reserve(n_releases.min(bytes.len() / 12));
         for _ in 0..n_releases {
-            releases.push((BarrierId(c.u32()?), c.u32()?, c.u32()?));
+            table
+                .releases
+                .push((BarrierId(c.u32()?), c.u32()?, c.u32()?));
         }
         let n_cells = c.u64()? as usize;
         let mut memory = Memory::new();
@@ -451,149 +481,41 @@ impl EventLog {
         if c.pos != bytes.len() {
             return Err("trailing bytes".into());
         }
+        table.check_arrivals(threads)?;
+        check_events(&events, threads, table.len())?;
         Ok(EventLog {
             threads,
             events,
-            arrivals,
-            releases,
+            table,
             census,
             result: RunResult { status, steps },
             memory,
         })
     }
 
-    /// Drives `consumer` through the recorded event stream. The call
-    /// sequence is identical to what the consumer would have observed
-    /// live inside [`Live`] during the recorded run.
-    pub fn replay<C: TraceConsumer>(&self, consumer: &mut C) {
-        for e in &self.events {
-            let (t, site) = (e.thread, e.site);
-            match e.kind {
-                TraceEventKind::Read => consumer.read(t, site, Addr(e.arg)),
-                TraceEventKind::Write => consumer.write(t, site, Addr(e.arg)),
-                TraceEventKind::Rmw => consumer.rmw(t, site, Addr(e.arg)),
-                TraceEventKind::Acquire => consumer.acquire(t, site, LockId(e.arg as u32)),
-                TraceEventKind::Release => consumer.release(t, site, LockId(e.arg as u32)),
-                TraceEventKind::Signal => consumer.signal(t, site, CondId(e.arg as u32)),
-                TraceEventKind::Wait => consumer.wait(t, site, CondId(e.arg as u32)),
-                TraceEventKind::Spawn => consumer.spawn(t, site, ThreadId(e.arg as u32)),
-                TraceEventKind::Join => consumer.join(t, site, ThreadId(e.arg as u32)),
-                TraceEventKind::BarrierArrive => {
-                    consumer.barrier_arrive(t, site, BarrierId(e.arg as u32));
-                }
-                TraceEventKind::BarrierRelease => {
-                    let (b, arrivals) = self.release_arrivals(e.arg);
-                    consumer.barrier_release(b, arrivals);
-                }
-                TraceEventKind::ThreadDone => consumer.thread_done(t),
-                TraceEventKind::Compute => consumer.compute(t, site, e.arg as u32),
-                TraceEventKind::Syscall => {
-                    consumer.syscall(t, site, SYSCALL_CODES[e.arg as usize]);
-                }
-                TraceEventKind::ChanSend => consumer.chan_send(t, site, ChanId(e.arg as u32)),
-                TraceEventKind::ChanRecv => consumer.chan_recv(t, site, ChanId(e.arg as u32)),
-            }
+    /// Drives `consumer` through the recorded event stream. The
+    /// `(index, event)` sequence is identical to what the consumer would
+    /// have observed live inside [`Live`] during the recorded run.
+    pub fn replay<C: TraceConsumer + ?Sized>(&self, consumer: &mut C) {
+        for (i, e) in self.events.iter().enumerate() {
+            self.table.dispatch(i as u64, e, consumer);
         }
     }
 
     /// Replays the log into *every* consumer in one pass over the event
     /// stream: each event is decoded once and dispatched to all
     /// consumers in slice order — the broadcast primitive under
-    /// [`crate::replay::fan_out`].
+    /// [`crate::replay::fan_out`]. This is [`EventLog::replay`] with the
+    /// slice as the consumer.
     ///
     /// Byte-identical to calling [`EventLog::replay`] on each consumer
     /// separately (consumers are independent; each still observes the
-    /// full call sequence in execution order), but the event stream is
-    /// walked and decoded once instead of once per consumer — on a
+    /// full sequence in execution order), but the event stream is walked
+    /// and decoded once instead of once per consumer — on a
     /// multi-megabyte log that is the difference between streaming the
     /// log through the cache N times and once.
     pub fn replay_many<C: TraceConsumer>(&self, consumers: &mut [C]) {
-        for e in &self.events {
-            let (t, site) = (e.thread, e.site);
-            match e.kind {
-                TraceEventKind::Read => {
-                    for c in consumers.iter_mut() {
-                        c.read(t, site, Addr(e.arg));
-                    }
-                }
-                TraceEventKind::Write => {
-                    for c in consumers.iter_mut() {
-                        c.write(t, site, Addr(e.arg));
-                    }
-                }
-                TraceEventKind::Rmw => {
-                    for c in consumers.iter_mut() {
-                        c.rmw(t, site, Addr(e.arg));
-                    }
-                }
-                TraceEventKind::Acquire => {
-                    for c in consumers.iter_mut() {
-                        c.acquire(t, site, LockId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Release => {
-                    for c in consumers.iter_mut() {
-                        c.release(t, site, LockId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Signal => {
-                    for c in consumers.iter_mut() {
-                        c.signal(t, site, CondId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Wait => {
-                    for c in consumers.iter_mut() {
-                        c.wait(t, site, CondId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Spawn => {
-                    for c in consumers.iter_mut() {
-                        c.spawn(t, site, ThreadId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Join => {
-                    for c in consumers.iter_mut() {
-                        c.join(t, site, ThreadId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::BarrierArrive => {
-                    for c in consumers.iter_mut() {
-                        c.barrier_arrive(t, site, BarrierId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::BarrierRelease => {
-                    let (b, arrivals) = self.release_arrivals(e.arg);
-                    for c in consumers.iter_mut() {
-                        c.barrier_release(b, arrivals);
-                    }
-                }
-                TraceEventKind::ThreadDone => {
-                    for c in consumers.iter_mut() {
-                        c.thread_done(t);
-                    }
-                }
-                TraceEventKind::Compute => {
-                    for c in consumers.iter_mut() {
-                        c.compute(t, site, e.arg as u32);
-                    }
-                }
-                TraceEventKind::Syscall => {
-                    for c in consumers.iter_mut() {
-                        c.syscall(t, site, SYSCALL_CODES[e.arg as usize]);
-                    }
-                }
-                TraceEventKind::ChanSend => {
-                    for c in consumers.iter_mut() {
-                        c.chan_send(t, site, ChanId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::ChanRecv => {
-                    for c in consumers.iter_mut() {
-                        c.chan_recv(t, site, ChanId(e.arg as u32));
-                    }
-                }
-            }
-        }
+        self.replay(consumers);
     }
 }
 
@@ -620,8 +542,9 @@ fn is_sync_kind(kind: TraceEventKind) -> bool {
 }
 
 /// The sync side-stream of one [`EventLog`]: every synchronization /
-/// channel event paired with its global event index, plus copies of the
-/// barrier side tables so the stream replays without the log in hand.
+/// channel event paired with its global event index, plus a copy of the
+/// log's barrier side table so the stream replays without the log in
+/// hand.
 ///
 /// A `SyncIndex` is **derived at decode time** ([`SyncIndex::of`]) and
 /// never serialized: the wire format stays the flat v2 event stream, and
@@ -634,8 +557,7 @@ fn is_sync_kind(kind: TraceEventKind) -> bool {
 pub struct SyncIndex {
     /// `(global event index, event)` in log order.
     events: Vec<(u64, TraceEvent)>,
-    arrivals: Vec<(ThreadId, SiteId)>,
-    releases: Vec<(BarrierId, u32, u32)>,
+    table: ReleaseTable,
     total_events: u64,
 }
 
@@ -651,8 +573,7 @@ impl SyncIndex {
             .collect();
         SyncIndex {
             events,
-            arrivals: log.arrivals.clone(),
-            releases: log.releases.clone(),
+            table: log.table.clone(),
             total_events: log.len() as u64,
         }
     }
@@ -677,31 +598,11 @@ impl SyncIndex {
         self.total_events
     }
 
-    /// The arrival list of a [`TraceEventKind::BarrierRelease`] event
-    /// (pass the event's `arg`), mirroring
-    /// [`EventLog::release_arrivals`].
-    pub fn release_arrivals(&self, release_idx: u64) -> (BarrierId, &[(ThreadId, SiteId)]) {
-        let (b, start, len) = self.releases[release_idx as usize];
-        (b, &self.arrivals[start as usize..(start + len) as usize])
+    /// The barrier side table, which decodes this stream's release
+    /// events.
+    pub(crate) fn table(&self) -> &ReleaseTable {
+        &self.table
     }
-}
-
-/// One checkable data access (read or write), pre-decoded and tagged
-/// with its global event index. The unit of an [`AccessPartition`]
-/// slice: shards consume these directly instead of re-decoding and
-/// re-classifying raw [`TraceEvent`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexedAccess {
-    /// Global position in the source log's event stream.
-    pub idx: u64,
-    /// Executing thread.
-    pub thread: ThreadId,
-    /// Static site.
-    pub site: SiteId,
-    /// Resolved address.
-    pub addr: Addr,
-    /// True for writes.
-    pub is_write: bool,
 }
 
 /// The data accesses of one [`EventLog`], split into per-shard,
@@ -711,11 +612,12 @@ pub struct IndexedAccess {
 /// checking detector (C11), so routing them would cost slice space for
 /// events every consumer ignores. Each access appears in exactly one
 /// slice (the partition property tests pin this), and slices are sorted
-/// by `idx` by construction because the partitioner walks the log once
-/// in order.
+/// by index by construction because the partitioner walks the log once
+/// in order. Slices hold the same `(global index, event)` pairs as the
+/// [`SyncIndex`] stream.
 #[derive(Debug, Clone)]
 pub struct AccessPartition {
-    slices: Vec<Vec<IndexedAccess>>,
+    slices: Vec<Vec<(u64, TraceEvent)>>,
 }
 
 impl AccessPartition {
@@ -725,21 +627,11 @@ impl AccessPartition {
     /// detectors, a layer above this crate.
     pub fn of(log: &EventLog, shards: usize, route: impl Fn(Addr, usize) -> usize) -> Self {
         let shards = shards.max(1);
-        let mut slices: Vec<Vec<IndexedAccess>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut slices: Vec<Vec<(u64, TraceEvent)>> = (0..shards).map(|_| Vec::new()).collect();
         for (i, e) in log.events.iter().enumerate() {
-            let is_write = match e.kind {
-                TraceEventKind::Read => false,
-                TraceEventKind::Write => true,
-                _ => continue,
-            };
-            let addr = Addr(e.arg);
-            slices[route(addr, shards)].push(IndexedAccess {
-                idx: i as u64,
-                thread: e.thread,
-                site: e.site,
-                addr,
-                is_write,
-            });
+            if matches!(e.kind, TraceEventKind::Read | TraceEventKind::Write) {
+                slices[route(Addr(e.arg), shards)].push((i as u64, *e));
+            }
         }
         AccessPartition { slices }
     }
@@ -750,7 +642,7 @@ impl AccessPartition {
     }
 
     /// Shard `shard`'s accesses, sorted by global event index.
-    pub fn slice(&self, shard: usize) -> &[IndexedAccess] {
+    pub fn slice(&self, shard: usize) -> &[(u64, TraceEvent)] {
         &self.slices[shard]
     }
 
@@ -776,145 +668,10 @@ pub fn record_run(p: &Program, sched: &mut dyn Scheduler, limit: StepLimit) -> E
     EventLog {
         threads: p.thread_count(),
         events: b.events,
-        arrivals: b.arrivals,
-        releases: b.releases,
+        table: b.table,
         census: OpCensus::of(p),
         result,
         memory: machine.memory().clone(),
-    }
-}
-
-/// Wraps an inner [`Runtime`] and records every event it observes.
-///
-/// ```
-/// use txrace_sim::{trace::Recording, DirectRuntime, Machine, ProgramBuilder, RoundRobin};
-///
-/// let mut b = ProgramBuilder::new(1);
-/// let x = b.var("x");
-/// b.thread(0).write(x, 1).read(x);
-/// let p = b.build();
-///
-/// let mut rt = Recording::new(DirectRuntime::default());
-/// let mut m = Machine::new(&p);
-/// m.run(&mut rt, &mut RoundRobin::new());
-/// assert_eq!(rt.events().len(), 3); // write, read, thread-done
-/// ```
-#[derive(Debug)]
-pub struct Recording<R> {
-    inner: R,
-    events: Vec<Event>,
-    limit: usize,
-}
-
-impl<R: Runtime> Recording<R> {
-    /// Records every event (up to a large default cap).
-    pub fn new(inner: R) -> Self {
-        Recording {
-            inner,
-            events: Vec::new(),
-            limit: 1 << 22,
-        }
-    }
-
-    /// Caps the number of recorded events (older events are kept; new ones
-    /// beyond the cap are dropped).
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = limit;
-        self
-    }
-
-    /// The recorded events, in execution order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// The wrapped runtime.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Consumes the recorder, returning the inner runtime and the events.
-    pub fn into_parts(self) -> (R, Vec<Event>) {
-        (self.inner, self.events)
-    }
-
-    /// Steps at which `site` executed an access.
-    pub fn access_steps(&self, site: SiteId) -> Vec<u64> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Access { step, site: s, .. } if *s == site => Some(*step),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn push(&mut self, e: Event) {
-        if self.events.len() < self.limit {
-            self.events.push(e);
-        }
-    }
-}
-
-impl<R: Runtime> Runtime for Recording<R> {
-    fn before_op(&mut self, mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
-        self.inner.before_op(mem, ev)
-    }
-
-    fn read(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
-        self.push(Event::Access {
-            step: ev.step,
-            thread: ev.thread,
-            site: ev.site,
-            addr,
-            is_write: false,
-        });
-        self.inner.read(mem, ev, addr)
-    }
-
-    fn write(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
-        self.push(Event::Access {
-            step: ev.step,
-            thread: ev.thread,
-            site: ev.site,
-            addr,
-            is_write: true,
-        });
-        self.inner.write(mem, ev, addr, val);
-    }
-
-    fn rmw(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
-        self.push(Event::Access {
-            step: ev.step,
-            thread: ev.thread,
-            site: ev.site,
-            addr,
-            is_write: true,
-        });
-        self.inner.rmw(mem, ev, addr, delta)
-    }
-
-    fn after_sync(&mut self, mem: &mut Memory, ev: &OpEvent<'_>) {
-        self.push(Event::Sync {
-            step: ev.step,
-            thread: ev.thread,
-            site: ev.site,
-            op: ev.op,
-        });
-        self.inner.after_sync(mem, ev);
-    }
-
-    fn after_barrier(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.push(Event::BarrierRelease {
-            barrier: b,
-            participants: arrivals.len(),
-        });
-        self.inner.after_barrier(b, arrivals);
-    }
-
-    fn on_thread_done(&mut self, t: ThreadId) {
-        self.push(Event::ThreadDone { thread: t });
-        self.inner.on_thread_done(t);
     }
 }
 
@@ -991,8 +748,9 @@ fn kind_from_code(code: u8) -> Option<TraceEventKind> {
 mod tests {
     use super::*;
     use crate::ir::ProgramBuilder;
+    use crate::replay::tests::Script;
     use crate::sched::RoundRobin;
-    use crate::{DirectRuntime, Machine, RunStatus};
+    use crate::{Machine, RunStatus};
 
     #[test]
     fn records_accesses_and_sync_in_order() {
@@ -1002,110 +760,27 @@ mod tests {
         b.thread(0).lock(l).write_l(x, 1, "w").unlock(l);
         b.thread(1).read_l(x, "r");
         let p = b.build();
-        let mut rt = Recording::new(DirectRuntime::default());
-        let mut m = Machine::new(&p);
-        let mut s = RoundRobin::new();
-        assert_eq!(m.run(&mut rt, &mut s).status, RunStatus::Done);
+        let log = record_run(&p, &mut RoundRobin::new(), StepLimit::default());
+        assert_eq!(log.result().status, RunStatus::Done);
 
         let w = p.site("w").unwrap();
         let r = p.site("r").unwrap();
-        assert_eq!(rt.access_steps(w).len(), 1);
-        assert_eq!(rt.access_steps(r).len(), 1);
-        let syncs = rt
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::Sync { .. }))
-            .count();
-        assert_eq!(syncs, 2, "lock and unlock");
-        let dones = rt
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::ThreadDone { .. }))
-            .count();
-        assert_eq!(dones, 2);
-        // Steps are nondecreasing.
-        let steps: Vec<u64> = rt.events().iter().filter_map(Event::step).collect();
-        assert!(steps.windows(2).all(|w| w[0] <= w[1]));
+        let kinds: Vec<TraceEventKind> = log.events().iter().map(|e| e.kind).collect();
+        let at = |k: TraceEventKind| kinds.iter().position(|&x| x == k).unwrap();
+        assert!(at(TraceEventKind::Acquire) < at(TraceEventKind::Write));
+        assert!(at(TraceEventKind::Write) < at(TraceEventKind::Release));
+        assert_eq!(log.events()[at(TraceEventKind::Write)].site, w);
+        assert_eq!(log.events()[at(TraceEventKind::Read)].site, r);
+        let count = |k: TraceEventKind| kinds.iter().filter(|&&x| x == k).count();
+        assert_eq!(
+            count(TraceEventKind::Write) + count(TraceEventKind::Read),
+            2
+        );
+        assert_eq!(count(TraceEventKind::ThreadDone), 2);
     }
 
-    #[test]
-    fn limit_caps_recording() {
-        let mut b = ProgramBuilder::new(1);
-        let x = b.var("x");
-        b.thread(0).loop_n(100, |t| {
-            t.read(x);
-        });
-        let p = b.build();
-        let mut rt = Recording::new(DirectRuntime::default()).with_limit(10);
-        let mut m = Machine::new(&p);
-        let mut s = RoundRobin::new();
-        m.run(&mut rt, &mut s);
-        assert_eq!(rt.events().len(), 10);
-    }
-
-    // A consumer that fingerprints every call, order-sensitively.
-    #[derive(Default, PartialEq, Debug)]
-    struct Fp(Vec<(u8, u32, u32, u64)>);
-    impl TraceConsumer for Fp {
-        fn read(&mut self, t: ThreadId, s: SiteId, a: Addr) {
-            self.0.push((0, t.0, s.0, a.0));
-        }
-        fn write(&mut self, t: ThreadId, s: SiteId, a: Addr) {
-            self.0.push((1, t.0, s.0, a.0));
-        }
-        fn rmw(&mut self, t: ThreadId, s: SiteId, a: Addr) {
-            self.0.push((2, t.0, s.0, a.0));
-        }
-        fn acquire(&mut self, t: ThreadId, s: SiteId, l: LockId) {
-            self.0.push((3, t.0, s.0, u64::from(l.0)));
-        }
-        fn release(&mut self, t: ThreadId, s: SiteId, l: LockId) {
-            self.0.push((4, t.0, s.0, u64::from(l.0)));
-        }
-        fn signal(&mut self, t: ThreadId, s: SiteId, c: CondId) {
-            self.0.push((5, t.0, s.0, u64::from(c.0)));
-        }
-        fn wait(&mut self, t: ThreadId, s: SiteId, c: CondId) {
-            self.0.push((6, t.0, s.0, u64::from(c.0)));
-        }
-        fn spawn(&mut self, t: ThreadId, s: SiteId, u: ThreadId) {
-            self.0.push((7, t.0, s.0, u64::from(u.0)));
-        }
-        fn join(&mut self, t: ThreadId, s: SiteId, u: ThreadId) {
-            self.0.push((8, t.0, s.0, u64::from(u.0)));
-        }
-        fn barrier_arrive(&mut self, t: ThreadId, s: SiteId, b: BarrierId) {
-            self.0.push((9, t.0, s.0, u64::from(b.0)));
-        }
-        fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-            self.0.push((10, b.0, 0, arrivals.len() as u64));
-            for &(t, s) in arrivals {
-                self.0.push((11, t.0, s.0, 0));
-            }
-        }
-        fn compute(&mut self, t: ThreadId, s: SiteId, n: u32) {
-            self.0.push((12, t.0, s.0, u64::from(n)));
-        }
-        fn syscall(&mut self, t: ThreadId, s: SiteId, k: crate::ir::SyscallKind) {
-            self.0.push((13, t.0, s.0, syscall_code(k)));
-        }
-        fn thread_done(&mut self, t: ThreadId) {
-            self.0.push((14, t.0, 0, 0));
-        }
-        fn chan_send(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
-            self.0.push((15, t.0, s.0, u64::from(ch.0)));
-        }
-        fn chan_recv(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
-            self.0.push((16, t.0, s.0, u64::from(ch.0)));
-        }
-    }
-
-    #[test]
-    fn event_log_replay_reproduces_the_live_stream() {
-        use crate::replay::Live;
-
-        // Exercise every event kind: locks, signal/wait, spawn/join,
-        // barriers, RMWs, indexed accesses, compute, syscalls.
+    /// A program exercising every event kind.
+    fn all_kinds_program() -> Program {
         let mut b = ProgramBuilder::new(3);
         let x = b.var("x");
         let arr = b.array("a", 8);
@@ -1132,63 +807,38 @@ mod tests {
             .recv(ch)
             .barrier(bar);
         b.thread(2).read(x); // spawn target: starts parked
-        let p = b.build();
+        b.build()
+    }
 
-        let run_live = |seed: u64| {
-            let mut rt = Live::new(Fp::default());
-            let mut m = Machine::new(&p);
-            let mut s = crate::sched::RandomSched::new(seed);
-            let r = m.run(&mut rt, &mut s);
-            assert_eq!(r.status, RunStatus::Done);
-            (rt.into_inner(), m.memory().clone(), r)
-        };
-        let (live, live_mem, live_run) = run_live(9);
-
+    fn all_kinds_log() -> EventLog {
         let mut sched = crate::sched::RandomSched::new(9);
-        let log = record_run(&p, &mut sched, StepLimit::default());
-        let mut replayed = Fp::default();
+        record_run(&all_kinds_program(), &mut sched, StepLimit::default())
+    }
+
+    #[test]
+    fn event_log_replay_reproduces_the_live_stream() {
+        let p = all_kinds_program();
+        let mut rt = Live::new(Script::default());
+        let mut m = Machine::new(&p);
+        let live_run = m.run(&mut rt, &mut crate::sched::RandomSched::new(9));
+        assert_eq!(live_run.status, RunStatus::Done);
+        let live = rt.into_inner();
+
+        let log = all_kinds_log();
+        let mut replayed = Script::default();
         log.replay(&mut replayed);
 
-        assert_eq!(live, replayed, "replayed call sequence diverged");
-        assert_eq!(log.final_memory(), &live_mem);
+        assert_eq!(live, replayed, "replayed (idx, event) sequence diverged");
+        assert_eq!(live.0.len(), log.len());
+        assert_eq!(log.final_memory(), m.memory());
         assert_eq!(log.result(), &live_run);
         assert_eq!(log.thread_count(), 3);
         assert!(!log.is_empty());
-        assert_eq!(log.len(), log.events().len());
     }
 
     #[test]
     fn serialized_log_round_trips_exactly() {
-        let mut b = ProgramBuilder::new(3);
-        let x = b.var("x");
-        let arr = b.array("arr", 16);
-        let l = b.lock_id("l");
-        let c = b.cond_id("c");
-        let bar = b.barrier_id("bar");
-        let ch = b.chan_id("ch", 2);
-        b.thread(0)
-            .spawn(ThreadId(2))
-            .write(x, 1)
-            .signal(c)
-            .lock(l)
-            .rmw(x, 1)
-            .unlock(l)
-            .send(ch)
-            .barrier(bar)
-            .join(ThreadId(2))
-            .syscall(crate::ir::SyscallKind::Io);
-        b.thread(1)
-            .wait(c)
-            .loop_n(4, |t| {
-                t.read_arr(arr, 8).compute(3);
-            })
-            .recv(ch)
-            .barrier(bar);
-        b.thread(2).read(x);
-        let p = b.build();
-
-        let mut sched = crate::sched::RandomSched::new(9);
-        let log = record_run(&p, &mut sched, StepLimit::default());
+        let log = all_kinds_log();
         let bytes = log.to_bytes();
         let back = EventLog::from_bytes(&bytes).expect("round trip");
 
@@ -1197,9 +847,9 @@ mod tests {
         assert_eq!(back.census(), log.census());
         assert_eq!(back.result(), log.result());
         assert_eq!(back.final_memory(), log.final_memory());
-        let mut live = Fp::default();
+        let mut live = Script::default();
         log.replay(&mut live);
-        let mut reloaded = Fp::default();
+        let mut reloaded = Script::default();
         back.replay(&mut reloaded);
         assert_eq!(live, reloaded, "replay diverged after deserialization");
 
@@ -1226,6 +876,75 @@ mod tests {
         assert!(err.contains("unsupported version 1"), "{err}");
     }
 
+    /// Serializes a hand-built `threads`-thread log of `events` over
+    /// `table`, bypassing the recorder.
+    fn hand_built(threads: usize, events: Vec<TraceEvent>, table: ReleaseTable) -> Vec<u8> {
+        EventLog {
+            threads,
+            events,
+            table,
+            census: OpCensus::default(),
+            result: RunResult {
+                status: RunStatus::Done,
+                steps: 0,
+            },
+            memory: Memory::new(),
+        }
+        .to_bytes()
+    }
+
+    fn ev(kind: TraceEventKind, thread: u32, arg: u64) -> TraceEvent {
+        TraceEvent {
+            kind,
+            thread: ThreadId(thread),
+            site: SiteId(0),
+            arg,
+        }
+    }
+
+    #[test]
+    fn decode_rejects_release_indices_outside_the_table() {
+        let release = vec![ev(TraceEventKind::BarrierRelease, 0, 5)];
+        let err = EventLog::from_bytes(&hand_built(2, release, ReleaseTable::default()));
+        assert!(err.unwrap_err().contains("BarrierRelease"));
+
+        // A release whose arrival range overruns the arrival table, and
+        // one whose arrival names a thread the log does not have.
+        let mut table = ReleaseTable::default();
+        table.releases.push((BarrierId(0), 0, 3));
+        table.arrivals.push((ThreadId(0), SiteId(0)));
+        let release = vec![ev(TraceEventKind::BarrierRelease, 0, 0)];
+        let err = EventLog::from_bytes(&hand_built(2, release.clone(), table));
+        assert!(err.unwrap_err().contains("out of range"));
+        let mut table = ReleaseTable::default();
+        table.encode(Event::BarrierRelease {
+            b: BarrierId(0),
+            arrivals: &[(ThreadId(0), SiteId(0)), (ThreadId(7), SiteId(0))],
+        });
+        let err = EventLog::from_bytes(&hand_built(2, release, table));
+        assert!(err.unwrap_err().contains("thread 7"));
+    }
+
+    #[test]
+    fn decode_rejects_threads_beyond_the_thread_count() {
+        let read = vec![ev(TraceEventKind::Read, 1000, 0x40)];
+        let err = EventLog::from_bytes(&hand_built(2, read, ReleaseTable::default()));
+        assert!(err.unwrap_err().contains("2-thread log"));
+        for kind in [TraceEventKind::Spawn, TraceEventKind::Join] {
+            let target = vec![ev(kind, 0, 2)];
+            assert!(EventLog::from_bytes(&hand_built(2, target, ReleaseTable::default())).is_err());
+        }
+    }
+
+    #[test]
+    fn decode_rejects_unknown_syscall_codes() {
+        let syscall = vec![ev(TraceEventKind::Syscall, 0, 9)];
+        let err = EventLog::from_bytes(&hand_built(2, syscall, ReleaseTable::default()));
+        assert!(err.unwrap_err().contains("Syscall"));
+        let valid = vec![ev(TraceEventKind::Syscall, 0, 3)];
+        assert!(EventLog::from_bytes(&hand_built(2, valid, ReleaseTable::default())).is_ok());
+    }
+
     #[test]
     fn census_matches_dynamic_op_classes() {
         let mut b = ProgramBuilder::new(2);
@@ -1246,39 +965,6 @@ mod tests {
         assert_eq!(c.syscalls, 1);
     }
 
-    /// A program exercising every event kind, for index/partition tests.
-    fn all_kinds_log() -> EventLog {
-        let mut b = ProgramBuilder::new(3);
-        let x = b.var("x");
-        let arr = b.array("a", 8);
-        let l = b.lock_id("l");
-        let c = b.cond_id("c");
-        let bar = b.barrier_id("bar");
-        let ch = b.chan_id("ch", 2);
-        b.thread(0)
-            .spawn(ThreadId(2))
-            .write(x, 1)
-            .signal(c)
-            .lock(l)
-            .rmw(x, 1)
-            .unlock(l)
-            .send(ch)
-            .barrier(bar)
-            .join(ThreadId(2))
-            .syscall(crate::ir::SyscallKind::Io);
-        b.thread(1)
-            .wait(c)
-            .loop_n(4, |t| {
-                t.read_arr(arr, 8).compute(3);
-            })
-            .recv(ch)
-            .barrier(bar);
-        b.thread(2).read(x);
-        let p = b.build();
-        let mut sched = crate::sched::RandomSched::new(9);
-        record_run(&p, &mut sched, StepLimit::default())
-    }
-
     #[test]
     fn sync_index_carries_exactly_the_sync_events_with_log_positions() {
         let log = all_kinds_log();
@@ -1296,21 +982,12 @@ mod tests {
             .map(|(i, e)| (i as u64, *e))
             .collect();
         assert_eq!(sync.events(), &want[..]);
-        assert!(want
-            .iter()
-            .any(|(_, e)| e.kind == TraceEventKind::ChanSend));
+        assert!(want.iter().any(|(_, e)| e.kind == TraceEventKind::ChanSend));
         assert!(want
             .iter()
             .any(|(_, e)| e.kind == TraceEventKind::BarrierRelease));
-        // Barrier side tables replay without the log in hand.
-        for (idx, e) in sync.events() {
-            if e.kind == TraceEventKind::BarrierRelease {
-                let (b_from_sync, arr_from_sync) = sync.release_arrivals(e.arg);
-                let (b_from_log, arr_from_log) = log.release_arrivals(e.arg);
-                assert_eq!(b_from_sync, b_from_log, "idx={idx}");
-                assert_eq!(arr_from_sync, arr_from_log);
-            }
-        }
+        // The barrier side table replays without the log in hand.
+        assert_eq!(sync.table(), &log.table);
     }
 
     #[test]
@@ -1330,17 +1007,13 @@ mod tests {
             for s in 0..shards {
                 let slice = part.slice(s);
                 assert!(
-                    slice.windows(2).all(|w| w[0].idx < w[1].idx),
+                    slice.windows(2).all(|w| w[0].0 < w[1].0),
                     "slices are index-sorted"
                 );
-                for a in slice {
-                    assert_eq!(route(a.addr, shards), s, "routed to the owner");
-                    assert!(seen.insert(a.idx), "each access on exactly one shard");
-                    let e = log.events()[a.idx as usize];
-                    assert_eq!(e.thread, a.thread);
-                    assert_eq!(e.site, a.site);
-                    assert_eq!(Addr(e.arg), a.addr);
-                    assert_eq!(e.kind == TraceEventKind::Write, a.is_write);
+                for &(idx, e) in slice {
+                    assert_eq!(route(Addr(e.arg), shards), s, "routed to the owner");
+                    assert!(seen.insert(idx), "each access on exactly one shard");
+                    assert_eq!(log.events()[idx as usize], e);
                 }
             }
         }
@@ -1355,18 +1028,15 @@ mod tests {
             b.thread(t).read(x).barrier(bar);
         }
         let p = b.build();
-        let mut rt = Recording::new(DirectRuntime::default());
-        let mut m = Machine::new(&p);
-        let mut s = RoundRobin::new();
-        m.run(&mut rt, &mut s);
-        assert!(rt.events().iter().any(|e| matches!(
-            e,
-            Event::BarrierRelease {
-                participants: 2,
-                ..
-            }
-        )));
-        let (_inner, events) = rt.into_parts();
-        assert!(!events.is_empty());
+        let log = record_run(&p, &mut RoundRobin::new(), StepLimit::default());
+        let releases: Vec<_> = log
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::BarrierRelease)
+            .map(|e| log.release_arrivals(e.arg))
+            .collect();
+        assert_eq!(releases.len(), 1);
+        assert_eq!(releases[0].0, bar);
+        assert_eq!(releases[0].1.len(), 2);
     }
 }

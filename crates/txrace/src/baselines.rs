@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use txrace_hb::{FastTrack, Lockset, LocksetReport, RaceSet, ShadowMode};
-use txrace_sim::{Addr, BarrierId, CondId, LockId, SiteId, SyscallKind, ThreadId, TraceConsumer};
+use txrace_sim::{Event, SiteId, TraceConsumer};
 
 use crate::control::Knobs;
 use crate::cost::{CostModel, CycleBreakdown};
@@ -37,6 +37,33 @@ struct EventTally {
     compute_units: u64,
     /// Syscall events.
     syscalls: u64,
+}
+
+impl EventTally {
+    /// Counts `ev` into its cost class. Atomics count as memory events
+    /// although no detector checks them (C11), and every sync kind pays
+    /// its architectural cost even where a detector ignores it.
+    #[inline(always)]
+    fn count(&mut self, ev: &Event<'_>) {
+        match *ev {
+            Event::Read { .. } | Event::Write { .. } | Event::Rmw { .. } => self.mem += 1,
+            Event::BarrierArrive { .. } => self.barrier_arrive += 1,
+            Event::BarrierRelease { arrivals, .. } => {
+                self.barrier_released += arrivals.len() as u64;
+            }
+            Event::Compute { units, .. } => self.compute_units += u64::from(units),
+            Event::Syscall { .. } => self.syscalls += 1,
+            Event::ThreadDone { .. } => {}
+            Event::Acquire { .. }
+            | Event::Release { .. }
+            | Event::Signal { .. }
+            | Event::Wait { .. }
+            | Event::Spawn { .. }
+            | Event::Join { .. }
+            | Event::ChanSend { .. }
+            | Event::ChanRecv { .. } => self.sync += 1,
+        }
+    }
 }
 
 /// The always-on software detector: FastTrack checks on every shared
@@ -153,14 +180,16 @@ impl TsanConsumer {
         self.elided
     }
 
-    /// True when the prune table elides the check at `site`.
-    fn prune_elides(&mut self, site: SiteId) -> bool {
+    /// Decides whether the access at `site` is checked: not when the
+    /// prune table proves the site race-free, otherwise as the sampler
+    /// draws.
+    #[inline(always)]
+    fn checks(&mut self, site: SiteId) -> bool {
         if self.prune.as_ref().is_some_and(|t| t.is_race_free(site)) {
             self.elided += 1;
-            true
-        } else {
-            false
+            return false;
         }
+        self.sample()
     }
 
     /// Decides whether this access is checked.
@@ -184,81 +213,28 @@ impl TsanConsumer {
 }
 
 impl TraceConsumer for TsanConsumer {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.tally.mem += 1;
-        if !self.prune_elides(site) && self.sample() {
-            self.ft.read(t, site, addr);
+    #[inline(always)]
+    fn event(&mut self, idx: u64, ev: Event<'_>) {
+        // Accesses call the check directly instead of going back through
+        // `FastTrack`'s event dispatch: they are most of the stream.
+        match ev {
+            Event::Read { t, site, addr } => {
+                self.tally.mem += 1;
+                if self.checks(site) {
+                    self.ft.read(t, site, addr);
+                }
+            }
+            Event::Write { t, site, addr } => {
+                self.tally.mem += 1;
+                if self.checks(site) {
+                    self.ft.write(t, site, addr);
+                }
+            }
+            _ => {
+                self.tally.count(&ev);
+                self.ft.event(idx, ev);
+            }
         }
-    }
-
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.tally.mem += 1;
-        if !self.prune_elides(site) && self.sample() {
-            self.ft.write(t, site, addr);
-        }
-    }
-
-    fn rmw(&mut self, _t: ThreadId, _site: SiteId, _addr: Addr) {
-        // Atomics are never data races under the C11 model; TSan does not
-        // check them either.
-        self.tally.mem += 1;
-    }
-
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ft.lock_acquire(t, l);
-        self.tally.sync += 1;
-    }
-
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ft.lock_release(t, l);
-        self.tally.sync += 1;
-    }
-
-    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        self.ft.signal(t, c);
-        self.tally.sync += 1;
-    }
-
-    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        self.ft.wait(t, c);
-        self.tally.sync += 1;
-    }
-
-    fn spawn(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        self.ft.spawn(t, child);
-        self.tally.sync += 1;
-    }
-
-    fn join(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        self.ft.join(t, child);
-        self.tally.sync += 1;
-    }
-
-    fn barrier_arrive(&mut self, _t: ThreadId, _site: SiteId, _b: BarrierId) {
-        self.tally.barrier_arrive += 1;
-    }
-
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.ft.barrier_arrivals(b, arrivals);
-        self.tally.barrier_released += arrivals.len() as u64;
-    }
-
-    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: txrace_sim::ChanId) {
-        self.ft.chan_send(t, ch);
-        self.tally.sync += 1;
-    }
-
-    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: txrace_sim::ChanId) {
-        self.ft.chan_recv(t, ch);
-        self.tally.sync += 1;
-    }
-
-    fn compute(&mut self, _t: ThreadId, _site: SiteId, units: u32) {
-        self.tally.compute_units += u64::from(units);
-    }
-
-    fn syscall(&mut self, _t: ThreadId, _site: SiteId, _kind: SyscallKind) {
-        self.tally.syscalls += 1;
     }
 }
 
@@ -421,8 +397,6 @@ pub struct LocksetConsumer {
     ls: Lockset,
     cost: CostModel,
     tally: EventTally,
-    /// Accesses that paid the lockset check (reads + writes).
-    checked: u64,
 }
 
 impl LocksetConsumer {
@@ -432,7 +406,6 @@ impl LocksetConsumer {
             ls: Lockset::new(threads),
             cost,
             tally: EventTally::default(),
-            checked: 0,
         }
     }
 
@@ -451,79 +424,20 @@ impl LocksetConsumer {
         let t = &self.tally;
         CycleBreakdown {
             baseline: t.mem * self.cost.mem_access
-                + t.sync * self.cost.sync_op
+                + (t.sync + t.barrier_arrive) * self.cost.sync_op
                 + t.compute_units * self.cost.compute_unit
                 + t.syscalls * self.cost.syscall,
-            checks: self.checked * (self.cost.tsan_check / 2),
+            checks: self.ls.checks() * (self.cost.tsan_check / 2),
             ..CycleBreakdown::default()
         }
     }
 }
 
 impl TraceConsumer for LocksetConsumer {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.ls.read(t, site, addr);
-        self.tally.mem += 1;
-        self.checked += 1;
-    }
-
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.ls.write(t, site, addr);
-        self.tally.mem += 1;
-        self.checked += 1;
-    }
-
-    fn rmw(&mut self, _t: ThreadId, _site: SiteId, _addr: Addr) {
-        self.tally.mem += 1;
-    }
-
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ls.lock_acquire(t, l);
-        self.tally.sync += 1;
-    }
-
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ls.lock_release(t, l);
-        self.tally.sync += 1;
-    }
-
-    // Eraser is blind to every other synchronization primitive — that
-    // blindness is its incompleteness — but their architectural cost is
-    // still paid.
-    fn signal(&mut self, _t: ThreadId, _site: SiteId, _c: CondId) {
-        self.tally.sync += 1;
-    }
-
-    fn wait(&mut self, _t: ThreadId, _site: SiteId, _c: CondId) {
-        self.tally.sync += 1;
-    }
-
-    fn spawn(&mut self, _t: ThreadId, _site: SiteId, _child: ThreadId) {
-        self.tally.sync += 1;
-    }
-
-    fn join(&mut self, _t: ThreadId, _site: SiteId, _child: ThreadId) {
-        self.tally.sync += 1;
-    }
-
-    fn barrier_arrive(&mut self, _t: ThreadId, _site: SiteId, _b: BarrierId) {
-        self.tally.sync += 1;
-    }
-
-    fn chan_send(&mut self, _t: ThreadId, _site: SiteId, _ch: txrace_sim::ChanId) {
-        self.tally.sync += 1;
-    }
-
-    fn chan_recv(&mut self, _t: ThreadId, _site: SiteId, _ch: txrace_sim::ChanId) {
-        self.tally.sync += 1;
-    }
-
-    fn compute(&mut self, _t: ThreadId, _site: SiteId, units: u32) {
-        self.tally.compute_units += u64::from(units);
-    }
-
-    fn syscall(&mut self, _t: ThreadId, _site: SiteId, _kind: SyscallKind) {
-        self.tally.syscalls += 1;
+    #[inline(always)]
+    fn event(&mut self, idx: u64, ev: Event<'_>) {
+        self.tally.count(&ev);
+        self.ls.event(idx, ev);
     }
 }
 

@@ -7,22 +7,15 @@
 //! `Vec<Box<dyn TraceConsumer + Send>>` also works with `fan_out`, but
 //! type erasure loses the results; [`PanelConsumer`] keeps them.
 //!
-//! [`ShardedPanel`] is the address-sharded counterpart: the detectors
-//! that shard by address (FastTrack and lockset) run over **one shared
-//! [`ShardPlan`]** — the log is decoded and partitioned once, and every
-//! panel member consumes the same per-shard access slices and sync
-//! stream. The stream-order detectors (TSan with cycle accounting,
-//! vcref) stay on the fan-out path: they are not address-decomposable,
-//! so a reduced per-shard stream would change what they measure.
+//! The detectors that shard by address have their own runners
+//! ([`txrace_hb::ShardedFastTrack`], [`txrace_hb::ShardedLockset`]),
+//! which share one [`txrace_hb::ShardPlan`] per log. The stream-order
+//! detectors (TSan with cycle accounting, vcref) stay on the fan-out
+//! path: they are not address-decomposable, so a reduced per-shard
+//! stream would change what they measure.
 
-use txrace_hb::{
-    FastTrack, ShardPlan, ShardedFastTrack, ShardedFtOutcome, ShardedLockset, ShardedLsOutcome,
-    VectorClockDetector,
-};
-use txrace_sim::{
-    Addr, BarrierId, ChanId, CondId, EventLog, LockId, SiteId, SyscallKind, ThreadId,
-    TraceConsumer,
-};
+use txrace_hb::{FastTrack, VectorClockDetector};
+use txrace_sim::{Event, TraceConsumer};
 
 use crate::baselines::{LocksetConsumer, TsanConsumer};
 
@@ -141,74 +134,6 @@ impl PanelConsumer {
     }
 }
 
-/// The address-sharded detector panel: FastTrack and lockset over one
-/// shared [`ShardPlan`].
-///
-/// This is the panel counterpart of the one-decode contract in
-/// `txrace_hb::sharded` — a heterogeneous sweep pays for trace decode
-/// and access partitioning **once**, then every sharded detector reuses
-/// the same per-shard slices and broadcast sync stream.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedPanel {
-    threads: usize,
-    workers: usize,
-}
-
-/// What a [`ShardedPanel`] run produces: both sharded outcomes, plus
-/// the shard count they shared.
-#[derive(Debug)]
-pub struct ShardedPanelOutcome {
-    /// Sharded FastTrack verdict (byte-identical to serial Exact mode).
-    pub fasttrack: ShardedFtOutcome,
-    /// Sharded lockset verdict (byte-identical to the serial baseline).
-    pub lockset: ShardedLsOutcome,
-    /// Shard count of the plan both detectors consumed.
-    pub workers: usize,
-}
-
-impl ShardedPanelOutcome {
-    /// FNV-1a fingerprint of the FastTrack report list (comparable to
-    /// [`PanelConsumer::fingerprint`] of a serial FastTrack member).
-    pub fn fasttrack_fingerprint(&self) -> u64 {
-        fnv1a(format!("{:?}", self.fasttrack.races.reports()).as_bytes())
-    }
-
-    /// FNV-1a fingerprint of the lockset report list.
-    pub fn lockset_fingerprint(&self) -> u64 {
-        fnv1a(format!("{:?}", self.lockset.reports).as_bytes())
-    }
-}
-
-impl ShardedPanel {
-    /// A panel for `threads`-thread logs, sharded `workers` ways.
-    pub fn new(threads: usize, workers: usize) -> Self {
-        ShardedPanel { threads, workers }
-    }
-
-    /// Indexes `log` once and runs both sharded detectors over the
-    /// resulting plan.
-    pub fn run(&self, log: &EventLog) -> ShardedPanelOutcome {
-        let plan = ShardPlan::build(log, self.workers);
-        self.run_with_plan(&plan)
-    }
-
-    /// Runs both sharded detectors over a caller-built plan (which may
-    /// itself share a [`txrace_sim::SyncIndex`] across shard counts).
-    ///
-    /// # Panics
-    ///
-    /// If `plan` was built for a different shard count.
-    pub fn run_with_plan(&self, plan: &ShardPlan) -> ShardedPanelOutcome {
-        let fasttrack = ShardedFastTrack::new(self.threads, self.workers).run_with_plan(plan);
-        let lockset = ShardedLockset::new(self.threads, self.workers).run_with_plan(plan);
-        ShardedPanelOutcome {
-            fasttrack,
-            lockset,
-            workers: self.workers,
-        }
-    }
-}
-
 /// FNV-1a over `bytes` (matches the trace-cache key hash).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -219,43 +144,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Explicit trait-path delegation: `FastTrack` has inherent methods
-/// whose names shadow the trait's but take different arguments
-/// (`signal(t, c)` vs `signal(t, site, c)`), so `c.method(...)` would
-/// not resolve; `TraceConsumer::method(c, ...)` always does.
-macro_rules! delegate_consumer {
-    ($($method:ident ( $($arg:ident : $ty:ty),* )),* $(,)?) => {
-        $(
-            fn $method(&mut self, $($arg: $ty),*) {
-                match self {
-                    PanelConsumer::Tsan(c) => TraceConsumer::$method(c, $($arg),*),
-                    PanelConsumer::Lockset(c) => TraceConsumer::$method(c, $($arg),*),
-                    PanelConsumer::FastTrack(c) => TraceConsumer::$method(c, $($arg),*),
-                    PanelConsumer::VcRef(c) => TraceConsumer::$method(c, $($arg),*),
-                }
-            }
-        )*
-    };
-}
-
 impl TraceConsumer for PanelConsumer {
-    delegate_consumer! {
-        read(t: ThreadId, site: SiteId, addr: Addr),
-        write(t: ThreadId, site: SiteId, addr: Addr),
-        rmw(t: ThreadId, site: SiteId, addr: Addr),
-        acquire(t: ThreadId, site: SiteId, l: LockId),
-        release(t: ThreadId, site: SiteId, l: LockId),
-        signal(t: ThreadId, site: SiteId, c: CondId),
-        wait(t: ThreadId, site: SiteId, c: CondId),
-        spawn(t: ThreadId, site: SiteId, child: ThreadId),
-        join(t: ThreadId, site: SiteId, child: ThreadId),
-        barrier_arrive(t: ThreadId, site: SiteId, b: BarrierId),
-        barrier_release(b: BarrierId, arrivals: &[(ThreadId, SiteId)]),
-        compute(t: ThreadId, site: SiteId, units: u32),
-        syscall(t: ThreadId, site: SiteId, kind: SyscallKind),
-        chan_send(t: ThreadId, site: SiteId, ch: ChanId),
-        chan_recv(t: ThreadId, site: SiteId, ch: ChanId),
-        thread_done(t: ThreadId),
+    #[inline(always)]
+    fn event(&mut self, idx: u64, ev: Event<'_>) {
+        match self {
+            PanelConsumer::Tsan(c) => c.event(idx, ev),
+            PanelConsumer::Lockset(c) => c.event(idx, ev),
+            PanelConsumer::FastTrack(c) => c.event(idx, ev),
+            PanelConsumer::VcRef(c) => c.event(idx, ev),
+        }
     }
 }
 
@@ -316,41 +213,6 @@ mod tests {
             other => panic!("order must be preserved, got {}", other.kind_name()),
         };
         assert_eq!(ls, serial_ls.reports());
-    }
-
-    #[test]
-    fn sharded_panel_shares_one_plan_and_matches_serial() {
-        let (log, n) = racy_log();
-
-        let mut serial_ft = FastTrack::new(n, ShadowMode::Exact);
-        log.replay(&mut serial_ft);
-        let mut serial_ls = Lockset::new(n);
-        log.replay(&mut serial_ls);
-        let mut serial_panel = PanelConsumer::FastTrack(FastTrack::new(n, ShadowMode::Exact));
-        log.replay(&mut serial_panel);
-
-        for workers in [1, 2, 4, 8] {
-            let plan = ShardPlan::build(&log, workers);
-            let out = ShardedPanel::new(n, workers).run_with_plan(&plan);
-            // Both detectors consumed the same partition and reproduce
-            // their serial verdicts byte for byte.
-            assert_eq!(out.fasttrack.races.reports(), serial_ft.races().reports());
-            assert_eq!(out.lockset.reports, serial_ls.reports());
-            assert_eq!(out.fasttrack.shards.len(), workers);
-            assert_eq!(out.lockset.shards.len(), workers);
-            // Shared-plan invariant: both detectors report identical
-            // per-shard dispatched-event counts (slice + sync stream).
-            for (f, l) in out.fasttrack.shards.iter().zip(&out.lockset.shards) {
-                assert_eq!(f.events, l.events);
-            }
-            // Sharded fingerprints line up with the serial panel member.
-            assert_eq!(out.fasttrack_fingerprint(), serial_panel.fingerprint());
-            assert_eq!(out.workers, workers);
-            // And the plan-less entry point agrees.
-            let direct = ShardedPanel::new(n, workers).run(&log);
-            assert_eq!(direct.fasttrack_fingerprint(), out.fasttrack_fingerprint());
-            assert_eq!(direct.lockset_fingerprint(), out.lockset_fingerprint());
-        }
     }
 
     #[test]
