@@ -7,13 +7,13 @@
 //! txdump <app> [--seed <n>] [--workers <n>] [--thread <t>]
 //!              [--kind <k>[,<k>...]] [--head <n>] [--summary] [--stats]
 //!              [--shards <n>] [--sites] [--epochs] [--budget <x>]
-//!              [--no-trace-cache]
-//! txdump --cache-clear
 //! ```
 //!
-//! `--stats` prints per-kind event counts, the app's write density, the
-//! top-N hottest addresses (N from `--head`, default 10), and the
-//! on-disk trace-cache footprint instead of the event stream.
+//! Every run records the app afresh; nothing is stored on disk.
+//!
+//! `--stats` prints per-kind event counts, the app's write density and
+//! the top-N hottest addresses (N from `--head`, default 10) instead of
+//! the event stream.
 //!
 //! `--shards <n>` builds the indexed shard plan (`ShardPlan`) for the
 //! trace and prints the per-shard balance table: each shard's access
@@ -31,11 +31,6 @@
 //! telemetry the controller steered by: the active knob values, abort
 //! counts, check/elision totals, the tsan/htm cycle split, and the
 //! cumulative modeled overhead at each epoch boundary.
-//!
-//! `--cache-clear` (no app needed) wipes `target/trace-cache` and
-//! reports what was removed. The cache is also bounded automatically:
-//! set `TXRACE_TRACE_CACHE_MAX_BYTES` and every recording binary evicts
-//! oldest entries after each store until the cache fits.
 //!
 //! Kinds: `read write rmw acquire release signal wait spawn join
 //! barrier-arrive barrier-release thread-done compute syscall
@@ -55,9 +50,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  txdump <app> [--seed <n>] [--workers <n>] [--thread <t>] \
          [--kind <k>[,<k>...]] [--head <n>] [--summary] [--stats] \
-         [--shards <n>] [--sites] [--epochs] [--budget <x>] \
-         [--no-trace-cache]\n  \
-         txdump --cache-clear"
+         [--shards <n>] [--sites] [--epochs] [--budget <x>]"
     );
     std::process::exit(2);
 }
@@ -168,18 +161,6 @@ fn print_stats(log: &EventLog, top_n: usize) {
     for (addr, (r, w)) in hottest.into_iter().take(top_n) {
         println!("  {:#016x} {r:>9} {w:>9} {:>9}", addr, r + w);
     }
-
-    let cache = txrace_bench::cache_stats();
-    println!("\ntrace cache (target/trace-cache):");
-    println!(
-        "  {} entries, {} bytes{}",
-        cache.entries,
-        cache.bytes,
-        match std::env::var("TXRACE_TRACE_CACHE_MAX_BYTES") {
-            Ok(cap) => format!(" (cap {cap})"),
-            Err(_) => " (uncapped; set TXRACE_TRACE_CACHE_MAX_BYTES)".to_string(),
-        }
-    );
 }
 
 /// `--shards <n>`: the indexed-sharding view of one trace — how the
@@ -192,6 +173,7 @@ fn print_shards(log: &EventLog, shards: usize) {
     let t0 = std::time::Instant::now();
     let plan = ShardPlan::build(log, shards);
     let plan_wall = t0.elapsed();
+    let shards = plan.partition().shards();
     let total = plan.partition().total_accesses();
     let sync = plan.sync().len() as u64;
     println!(
@@ -353,15 +335,7 @@ fn print_epochs(w: &txrace_workloads::Workload, seed: u64, budget: f64) {
 }
 
 fn main() {
-    let args: Vec<String> = txrace_bench::args_after_cache_flag();
-    if args.iter().any(|a| a == "--cache-clear") {
-        let removed = txrace_bench::clear_trace_cache();
-        println!(
-            "trace cache cleared: {} entries, {} bytes removed",
-            removed.entries, removed.bytes
-        );
-        return;
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut app: Option<String> = None;
     let mut seed = 42u64;
     let mut workers = 4usize;
@@ -397,6 +371,14 @@ fn main() {
     }
     let Some(app) = app else { usage() };
     let app = app.as_str();
+    if workers < 2 {
+        eprintln!("--workers must be at least 2 (the workloads need concurrency)");
+        std::process::exit(2);
+    }
+    if shards == Some(0) {
+        eprintln!("--shards must be at least 1");
+        usage();
+    }
 
     let Some(w) = by_name(app, workers) else {
         eprintln!("unknown app {app:?}; try `txrace-cli list`");

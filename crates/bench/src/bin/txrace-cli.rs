@@ -27,7 +27,7 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = txrace_bench::args_after_cache_flag();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
             println!("available workloads (paper Table 1 order):");
@@ -109,6 +109,10 @@ fn run_command(args: &[String]) {
         }),
         s if s.starts_with("sampling=") => {
             let rate: f64 = s["sampling=".len()..].parse().unwrap_or_else(|_| usage());
+            if !(0.0..=1.0).contains(&rate) {
+                eprintln!("sampling rate must be in [0, 1], got {rate}");
+                usage();
+            }
             Scheme::TsanSampling { rate }
         }
         _ => usage(),

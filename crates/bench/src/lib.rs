@@ -7,18 +7,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod paper;
 pub mod pool;
 pub mod report;
 pub mod runner;
 
-pub use cache::{
-    args_after_cache_flag, cache_stats, clear_trace_cache, disable_trace_cache, CacheStats,
-};
 pub use pool::{map_cells, pool_width};
 pub use report::{fmt_x, geomean, json_rows, JsonValue, Table};
 pub use runner::{
-    evaluate_app, record_workload, record_workload_uncached, replay_scheme, replay_schemes_fanout,
-    run_scheme, AppResult, EvalOptions, FanoutOutcome,
+    evaluate_app, record_workload, replay_scheme, replay_schemes_fanout, run_scheme, AppResult,
+    EvalOptions, FanoutOutcome,
 };

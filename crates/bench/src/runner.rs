@@ -85,17 +85,7 @@ pub fn run_scheme(w: &Workload, scheme: Scheme, seed: u64) -> RunOutcome {
 /// only on the workload's scheduler policy and the seed — never on the
 /// detection scheme — so one recording serves every pure-observer scheme
 /// (TSan, all sampling rates, lockset) via [`replay_scheme`].
-///
-/// Recordings are memoized on disk under `target/trace-cache/` (see
-/// [`crate::cache`]); pass `--no-trace-cache` to a recording binary or
-/// set `TXRACE_NO_TRACE_CACHE` to always record fresh.
 pub fn record_workload(w: &Workload, seed: u64) -> EventLog {
-    crate::cache::load_or_record(w, seed, || record_workload_uncached(w, seed))
-}
-
-/// [`record_workload`] without the on-disk cache: always re-interprets
-/// the program.
-pub fn record_workload_uncached(w: &Workload, seed: u64) -> EventLog {
     Detector::new(w.config(Scheme::Tsan, seed)).record(&w.program)
 }
 
@@ -186,7 +176,7 @@ mod tests {
     #[test]
     fn fanout_replay_matches_serial_per_scheme() {
         let w = by_name("bodytrack", 2).unwrap();
-        let log = record_workload_uncached(&w, 7);
+        let log = record_workload(&w, 7);
         let schemes = [
             Scheme::Tsan,
             Scheme::TsanSampling { rate: 0.1 },

@@ -8,7 +8,7 @@ use crate::txn::{Txn, TxnState};
 
 /// How a transaction's stores are versioned while it is in flight.
 ///
-/// All three policies are observationally equivalent — doom order, abort
+/// Both policies are observationally equivalent — doom order, abort
 /// statistics, and every value any non-doomed access observes are
 /// bit-identical (verified by `tests/rollback_equivalence.rs`) — they
 /// differ only in what the simulator pays per access and per abort.
@@ -25,13 +25,6 @@ pub enum VersionPolicy {
     /// buffer and reach memory only at commit. The previous
     /// implementation, kept as the equivalence oracle for the undo path.
     Buffer,
-    /// Undo mechanics in the HTM plus a full simulated-memory checkpoint
-    /// cloned by the engine at every transaction begin and again at
-    /// abort: the O(heap)-per-begin clone-snapshot baseline that
-    /// `bench_live` quantifies the journal against. Detection outputs
-    /// are still bit-identical (restore goes through the journal; the
-    /// clones are pure cost).
-    CloneSnapshot,
 }
 
 impl VersionPolicy {
@@ -362,7 +355,7 @@ impl HtmSystem {
     }
 
     /// Ends thread `t`'s transaction: makes its stores permanent (for the
-    /// journaled policies they are already in memory, so commit is an O(1)
+    /// journaled policy they are already in memory, so commit is an O(1)
     /// truncate; under [`VersionPolicy::Buffer`] the buffered writes are
     /// applied here), or reports the abort status.
     ///
@@ -454,7 +447,7 @@ impl HtmSystem {
     /// non-transactional otherwise), returning the value observed.
     ///
     /// Takes `&mut Memory` because requester-wins conflict detection may
-    /// doom another transaction, and under the journaled policies dooming
+    /// doom another transaction, and under the journaled policy dooming
     /// unwinds the victim's eager stores before this read observes memory.
     pub fn read(&mut self, t: ThreadId, mem: &mut Memory, addr: Addr) -> u64 {
         let line = addr.line();
@@ -493,7 +486,7 @@ impl HtmSystem {
             }
             (true, Some(_)) => {
                 // Zombie execution inside a doomed transaction: no coherence
-                // effects. Under the journaled policies the undo log was
+                // effects. Under the journaled policy the undo log was
                 // unwound at doom time, so memory is the pre-transaction
                 // state; under buffering the dead buffer still answers.
                 if eager {
@@ -706,7 +699,7 @@ impl HtmSystem {
     /// Marks `victim`'s transaction aborted and updates statistics. The
     /// first doom wins; later ones do not overwrite the status.
     ///
-    /// Under the journaled policies this is also where isolation is
+    /// Under the journaled policy this is also where isolation is
     /// restored: the victim's undo log is unwound to its begin watermark
     /// *before* the requester's own access proceeds, so no thread ever
     /// observes a doomed transaction's stores.

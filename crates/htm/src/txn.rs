@@ -173,9 +173,9 @@ pub(crate) struct Txn {
     /// Buffered stores, applied to memory only on commit
     /// ([`VersionPolicy::Buffer`](crate::VersionPolicy) only).
     pub write_buf: WriteBuf,
-    /// Undo log of this transaction's eager in-place stores (the
-    /// journaled versioning policies): unwound at doom time, truncated
-    /// on commit.
+    /// Undo log of this transaction's eager in-place stores
+    /// ([`VersionPolicy::Undo`](crate::VersionPolicy) only): unwound at
+    /// doom time, truncated on commit.
     pub journal: WriteJournal,
     /// Journal watermark taken at `xbegin`.
     pub begin: JournalMark,

@@ -355,10 +355,10 @@ impl EventLog {
     }
 
     /// Serializes the log to a stable, self-describing byte format
-    /// (little-endian, magic + version header) for the on-disk trace
-    /// cache. [`from_bytes`](EventLog::from_bytes) round-trips exactly:
-    /// replaying a deserialized log drives a consumer through the
-    /// identical call sequence.
+    /// (little-endian, magic + version header), so a recording can be
+    /// stored and replayed later. [`from_bytes`](EventLog::from_bytes)
+    /// round-trips exactly: replaying a deserialized log drives a
+    /// consumer through the identical call sequence.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.events.len() * 17 + self.memory.len() * 16);
         put_u64(&mut out, LOG_MAGIC);

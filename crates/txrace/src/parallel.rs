@@ -134,7 +134,7 @@ impl PanelConsumer {
     }
 }
 
-/// FNV-1a over `bytes` (matches the trace-cache key hash).
+/// 64-bit FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

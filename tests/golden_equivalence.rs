@@ -2,7 +2,7 @@
 //! fixtures captured from the pre-refactor (hash-map-based) shadow-state
 //! implementation. Any storage-layout change — dense tables, bitsets,
 //! interned indices — must reproduce exactly these race sets and abort
-//! counts on all 14 workloads.
+//! counts on all 17 workloads.
 //!
 //! Regenerate (only when results are *supposed* to change, e.g. a new
 //! workload) with:
@@ -18,6 +18,11 @@ use txrace_workloads::all_workloads;
 
 const WORKERS: usize = 4;
 const SEED: u64 = 42;
+/// Races planted in the message-passing families: one stat-counter race
+/// in pipeline and none elsewhere. A channel happens-before regression
+/// shows here in either direction — a missed edge adds phantom races, an
+/// over-strong edge hides the planted one.
+const CHANNEL_PLANTED: [(&str, usize); 3] = [("pipeline", 1), ("actors", 0), ("worksteal", 0)];
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/fixtures/golden_workloads.json"
@@ -68,6 +73,14 @@ fn current_golden() -> String {
         let tsan = Detector::new(w.config(Scheme::Tsan, SEED)).run(&w.program);
         let tx = Detector::new(w.config(Scheme::txrace(), SEED)).run(&w.program);
         assert!(tsan.completed() && tx.completed(), "{}", w.name);
+        if let Some(&(_, planted)) = CHANNEL_PLANTED.iter().find(|(app, _)| *app == w.name) {
+            assert_eq!(
+                tsan.races.distinct_count(),
+                planted,
+                "{}: live TSan must find exactly the planted channel-family races",
+                w.name
+            );
+        }
         lines.push(golden_line(w.name, &tsan, &tx));
     }
     format!("[\n{}\n]\n", lines.join(",\n"))

@@ -168,8 +168,16 @@ fn channel_families_shard_identically_and_ride_the_sync_stream() {
             };
             let sync = SyncIndex::of(&log);
             let chan_in_log = log.events().iter().filter(|e| is_chan(e.kind)).count();
-            let chan_in_sync = sync.events().iter().filter(|(_, e)| is_chan(e.kind)).count();
-            assert!(chan_in_log > 0, "{}: fixture must exercise channels", w.name);
+            let chan_in_sync = sync
+                .events()
+                .iter()
+                .filter(|(_, e)| is_chan(e.kind))
+                .count();
+            assert!(
+                chan_in_log > 0,
+                "{}: fixture must exercise channels",
+                w.name
+            );
             assert_eq!(
                 chan_in_sync, chan_in_log,
                 "{}: every channel event rides the sync stream",
