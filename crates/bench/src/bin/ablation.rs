@@ -23,15 +23,16 @@
 //! ```
 
 use txrace::{recall, Detector, Knobs, Scheme, SiteClassTable, StaticPruneMode, TxRaceOpts};
-use txrace_bench::{fmt_x, geomean, map_cells, pool_width, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, run_scheme, Cli, Table};
 use txrace_hb::ShadowMode;
 use txrace_htm::HtmConfig;
+use txrace_sim::par_map;
 use txrace_workloads::{all_workloads, by_name};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut cli = Cli::parse("ablation", &["workers", "seed"], false);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
 
     fast_sync_ablation(workers, seed);
     ideal_htm_ablation(workers, seed);
@@ -49,7 +50,7 @@ fn fast_sync_ablation(workers: usize, seed: u64) {
         "false positives",
     ]);
     let names = ["fluidanimate", "ferret", "apache", "streamcluster"];
-    let rows = map_cells(pool_width(), &names, |_, &name| {
+    let rows = par_map(&names, usize::MAX, |_, &name| {
         let w = by_name(name, workers).expect("known app");
         let truth = run_scheme(&w, Scheme::Tsan, seed);
         let on = run_scheme(&w, Scheme::txrace(), seed);
@@ -94,7 +95,7 @@ fn ideal_htm_ablation(workers: usize, seed: u64) {
     let mut t = Table::new(&["application", "best-effort HTM", "ideal HTM"]);
     let (mut real, mut idl) = (Vec::new(), Vec::new());
     let apps = all_workloads(workers);
-    let outs = map_cells(pool_width(), &apps, |_, w| {
+    let outs = par_map(&apps, usize::MAX, |_, w| {
         let out = run_scheme(w, Scheme::txrace(), seed);
         // Ideal hardware: unlimited capacity and an interrupt-free OS.
         let mut cfg = w.config(Scheme::txrace(), seed).with_htm(ideal);
@@ -129,7 +130,7 @@ fn k_threshold_ablation(workers: usize, seed: u64) {
         .iter()
         .flat_map(|&k| names.iter().map(move |&name| (k, name)))
         .collect();
-    let outs = map_cells(pool_width(), &grid, |_, &(k, name)| {
+    let outs = par_map(&grid, usize::MAX, |_, &(k, name)| {
         let w = by_name(name, workers).expect("known app");
         let cfg = w
             .config(Scheme::txrace(), seed)
@@ -202,7 +203,7 @@ fn shadow_cells_ablation(_workers: usize, seed: u64) {
         ),
         ("exact (paper config)", ShadowMode::Exact),
     ];
-    let outs = map_cells(pool_width(), &modes, |_, (_, mode)| {
+    let outs = par_map(&modes, usize::MAX, |_, (_, mode)| {
         let mut cfg = txrace::RunConfig::new(Scheme::Tsan, seed);
         cfg.shadow = *mode;
         Detector::new(cfg).run(&p)
@@ -238,7 +239,7 @@ fn static_prune_ablation(workers: usize, seed: u64) {
     let mut full_ovh = Vec::new();
     let mut flow_ovh = Vec::new();
     let apps = all_workloads(workers);
-    let results = map_cells(pool_width(), &apps, |_, w| {
+    let results = par_map(&apps, usize::MAX, |_, w| {
         let stats = SiteClassTable::analyze(&w.program).stats(&w.program);
         let flow_stats = SiteClassTable::analyze_flow(&w.program).stats(&w.program);
         let mut runs = [

@@ -17,14 +17,14 @@
 //! ```
 
 use txrace::{CostModel, Detector, LocksetConsumer, PanelConsumer, Scheme};
-use txrace_bench::{fmt_x, record_workload, run_scheme, Table};
+use txrace_bench::{fmt_x, record_workload, run_scheme, Cli, Table};
 use txrace_sim::fan_out;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut cli = Cli::parse("baselines", &["workers", "seed"], false);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
 
     println!("Detector family comparison (workers={workers}, seed={seed})\n");
     let mut t = Table::new(&[

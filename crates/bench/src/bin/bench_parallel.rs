@@ -48,7 +48,7 @@
 use std::time::Instant;
 
 use txrace::{CostModel, Detector, LocksetConsumer, PanelConsumer, Scheme};
-use txrace_bench::{geomean, json_rows, pool_width, record_workload, JsonValue};
+use txrace_bench::{geomean, json_rows, record_workload, Cli, JsonValue};
 use txrace_hb::{
     FastTrack, ShadowMode, ShardPlan, ShardedFastTrack, ShardedLockset, VectorClockDetector,
 };
@@ -146,9 +146,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    // `workers` is the fan-out width here, not a workload size, so 1
+    // (serial replay) is valid.
+    let mut cli = Cli::parse("bench_parallel", &["workers", "seed"], false);
+    let workers: usize = cli.next(4);
+    let seed = cli.next(42u64);
 
     let mut apps = all_workloads(4);
     apps.retain(|w| RACY_APPS.contains(&w.name));
@@ -419,7 +421,10 @@ fn main() {
         ("row", JsonValue::Str("total".to_string())),
         ("workers", JsonValue::Int(workers as u64)),
         ("seed", JsonValue::Int(seed)),
-        ("pool", JsonValue::Int(pool_width() as u64)),
+        (
+            "pool",
+            JsonValue::Int(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
+        ),
         (
             "wall_ns",
             JsonValue::Int(total_start.elapsed().as_nanos() as u64),

@@ -12,14 +12,14 @@
 //! ```
 
 use txrace::{recall, Detector, Knobs, Scheme, TxRaceOpts};
-use txrace_bench::{fmt_x, geomean, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, run_scheme, Cli, Table};
 use txrace_htm::HtmConfig;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut cli = Cli::parse("extensions", &["workers", "seed"], false);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
 
     println!("TxRace extensions (paper §9 directions) — workers={workers}, seed={seed}\n");
     let mut t = Table::new(&[

@@ -9,14 +9,15 @@
 //! ```
 
 use txrace::Scheme;
-use txrace_bench::{map_cells, pool_width, run_scheme, Table};
+use txrace_bench::{run_scheme, Cli, Table};
 use txrace_hb::RaceSet;
+use txrace_sim::par_map;
 use txrace_workloads::by_name;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let runs: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(7);
+    let mut cli = Cli::parse("fig10", &["workers", "runs"], false);
+    let workers = cli.workers();
+    let runs = cli.count(7);
 
     println!(
         "TxRace reproduction — Figure 10: vips distinct races across runs (workers={workers})\n"
@@ -28,11 +29,11 @@ fn main() {
         tsan.races.distinct_count()
     );
 
-    // Each run has its own seed, so the runs are independent pool cells;
+    // Each run has its own seed, so the runs are independent cells;
     // only the cumulative merge below is order-sensitive, and it consumes
     // the results in input (run-number) order.
     let run_seeds: Vec<u64> = (1..=runs).collect();
-    let outs = map_cells(pool_width(), &run_seeds, |_, &run| {
+    let outs = par_map(&run_seeds, usize::MAX, |_, &run| {
         run_scheme(&w, Scheme::txrace(), run)
     });
     let mut cumulative = RaceSet::new();

@@ -8,13 +8,13 @@
 //! ```
 
 use txrace::Scheme;
-use txrace_bench::{pool_width, record_workload, replay_schemes_fanout, run_scheme, Table};
+use txrace_bench::{record_workload, replay_schemes_fanout, run_scheme, Cli, Table};
 use txrace_workloads::by_name;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut cli = Cli::parse("fig12", &["workers", "seed"], false);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
 
     println!("TxRace reproduction — Figure 12: bodytrack overhead vs sampling rate (workers={workers}, seed={seed})\n");
     let w = by_name("bodytrack", workers).expect("bodytrack exists");
@@ -29,13 +29,13 @@ fn main() {
     schemes.extend((0..=100).step_by(10).map(|pct| Scheme::TsanSampling {
         rate: pct as f64 / 100.0,
     }));
-    let outs = replay_schemes_fanout(&w, &log, &schemes, seed, pool_width());
-    let full = &outs[0].outcome;
+    let outs = replay_schemes_fanout(&w, &log, &schemes, seed);
+    let full = &outs[0];
     let full_extra = (full.overhead - 1.0).max(1e-9);
 
     let mut t = Table::new(&["sampling rate", "normalized overhead"]);
-    for (pct, f) in (0..=100).step_by(10).zip(&outs[1..]) {
-        let norm = (f.outcome.overhead - 1.0).max(0.0) / full_extra;
+    for (pct, out) in (0..=100).step_by(10).zip(&outs[1..]) {
+        let norm = (out.overhead - 1.0).max(0.0) / full_extra;
         t.row(vec![format!("{pct}%"), format!("{norm:.2}")]);
     }
     println!("{}", t.render());

@@ -13,15 +13,14 @@
 //! probabilistic).
 
 use txrace::{recall, Scheme};
-use txrace_bench::{
-    map_cells, pool_width, record_workload, replay_schemes_fanout, run_scheme, Table,
-};
+use txrace_bench::{record_workload, replay_schemes_fanout, run_scheme, Cli, Table};
+use txrace_sim::par_map;
 use txrace_workloads::by_name;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let nseeds: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let mut cli = Cli::parse("fig13", &["workers", "seeds"], false);
+    let workers = cli.workers();
+    let nseeds = cli.count(3);
 
     println!("TxRace reproduction — Figure 13: bodytrack recall vs sampling rate (workers={workers}, {nseeds} seeds)\n");
     let w = by_name("bodytrack", workers).expect("bodytrack exists");
@@ -29,7 +28,7 @@ fn main() {
     // Phase 1: record the program ONCE per seed. Every sampling rate and
     // the TSan truth below replay these traces instead of re-executing.
     let seeds: Vec<u64> = (0..nseeds).collect();
-    let logs = map_cells(pool_width(), &seeds, |_, &seed| record_workload(&w, seed));
+    let logs = par_map(&seeds, usize::MAX, |_, &seed| record_workload(&w, seed));
 
     // Phase 2: one fan-out pass per seed carries the TSan truth plus all
     // eleven sampling rates over that seed's shared trace — twelve
@@ -45,17 +44,17 @@ fn main() {
         .iter()
         .zip(&logs)
         .map(|(&seed, log)| {
-            let outs = replay_schemes_fanout(&w, log, &schemes, seed, pool_width());
-            let truth = outs[0].outcome.races.clone();
+            let outs = replay_schemes_fanout(&w, log, &schemes, seed);
+            let truth = outs[0].races.clone();
             let recalls = outs[1..]
                 .iter()
-                .map(|f| recall(&f.outcome.races, &truth))
+                .map(|out| recall(&out.races, &truth))
                 .collect();
             (truth, recalls)
         })
         .collect();
     // TxRace steers execution, so its per-seed cells still run live.
-    let tx_recalls = map_cells(pool_width(), &seeds, |si, &seed| {
+    let tx_recalls = par_map(&seeds, usize::MAX, |si, &seed| {
         let out = run_scheme(&w, Scheme::txrace(), seed);
         recall(&out.races, &per_seed[si].0)
     });

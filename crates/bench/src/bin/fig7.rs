@@ -7,13 +7,13 @@
 //! cargo run --release -p txrace-bench --bin fig7 [workers] [seed]
 //! ```
 
-use txrace_bench::{evaluate_app, fmt_x, EvalOptions, Table};
+use txrace_bench::{evaluate_app, fmt_x, Cli, Table};
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut cli = Cli::parse("fig7", &["workers", "seed"], false);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
 
     println!("TxRace reproduction — Figure 7: overhead breakdown (workers={workers}, seed={seed})");
     println!("columns are multiples of the uninstrumented baseline\n");
@@ -28,13 +28,7 @@ fn main() {
         "total",
     ]);
     for w in all_workloads(workers) {
-        let r = evaluate_app(
-            &w,
-            EvalOptions {
-                seed,
-                ..Default::default()
-            },
-        );
+        let r = evaluate_app(&w, seed);
         let bd = r.txrace.breakdown;
         let base = r.txrace.baseline_cycles.max(1) as f64;
         let frac = |v: u64| format!("{:.2}", v as f64 / base);

@@ -10,14 +10,12 @@
 //! ```
 
 use txrace::Scheme;
-use txrace_bench::{fmt_x, geomean, map_cells, pool_width, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, run_scheme, Cli, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed = Cli::parse("fig8", &["seed"], false).next(42u64);
     let counts = [2usize, 4, 8];
 
     println!("TxRace reproduction — Figure 8: scalability (seed={seed})\n");
@@ -25,14 +23,14 @@ fn main() {
     let mut per_count: Vec<Vec<f64>> = vec![Vec::new(); counts.len()];
     let mut aborts: Vec<(u64, u64, u64)> = vec![(0, 0, 0); counts.len()];
 
-    // One pool cell per (app, thread count) pair, in fixed order; each
+    // One cell per (app, thread count) pair, in fixed order; each
     // cell rebuilds its app at that worker count and runs independently.
     let names: Vec<&'static str> = all_workloads(2).iter().map(|w| w.name).collect();
     let grid: Vec<(&'static str, usize)> = names
         .iter()
         .flat_map(|&name| counts.iter().map(move |&workers| (name, workers)))
         .collect();
-    let outs = map_cells(pool_width(), &grid, |_, &(name, workers)| {
+    let outs = par_map(&grid, usize::MAX, |_, &(name, workers)| {
         let w = txrace_workloads::by_name(name, workers).expect("known app");
         run_scheme(&w, Scheme::txrace(), seed)
     });

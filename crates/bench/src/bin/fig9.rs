@@ -8,13 +8,14 @@
 //! ```
 
 use txrace::{LoopcutMode, Scheme};
-use txrace_bench::{fmt_x, geomean, map_cells, paper, pool_width, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, paper, run_scheme, Cli, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut cli = Cli::parse("fig9", &["workers", "seed"], false);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
 
     println!(
         "TxRace reproduction — Figure 9: loop-cut effectiveness (workers={workers}, seed={seed})\n"
@@ -27,12 +28,12 @@ fn main() {
         Scheme::txrace_loopcut(LoopcutMode::Dyn),
         Scheme::txrace_loopcut(LoopcutMode::Prof),
     ];
-    // One pool cell per (app, scheme) pair; rows rendered in input order.
+    // One cell per (app, scheme) pair; rows rendered in input order.
     let apps = all_workloads(workers);
     let grid: Vec<(usize, Scheme)> = (0..apps.len())
         .flat_map(|a| schemes.iter().map(move |s| (a, s.clone())))
         .collect();
-    let outs = map_cells(pool_width(), &grid, |_, (a, s)| {
+    let outs = par_map(&grid, usize::MAX, |_, (a, s)| {
         run_scheme(&apps[*a], s.clone(), seed)
     });
     for (w, row) in apps.iter().zip(outs.chunks(schemes.len())) {

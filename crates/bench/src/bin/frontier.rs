@@ -11,7 +11,7 @@
 //! pipeline", not as recall against the TSan oracle.
 //!
 //! ```text
-//! cargo run --release -p txrace-bench --bin frontier [workers] [seed] [--json]
+//! cargo run --release -p txrace-bench --bin frontier [--json] [workers] [seed]
 //! ```
 //!
 //! With `--json` the binary prints one JSON row per (app × budget) cell
@@ -19,7 +19,8 @@
 //! it renders a table plus per-budget geomean/recall summaries.
 
 use txrace::{recall, Detector, Scheme, StaticPruneMode};
-use txrace_bench::{fmt_x, geomean, json_rows, map_cells, paper, pool_width, JsonValue, Table};
+use txrace_bench::{fmt_x, geomean, json_rows, paper, Cli, JsonValue, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 /// Budget grid, as multipliers over the uninstrumented baseline. The
@@ -40,27 +41,16 @@ struct Cell {
 }
 
 fn main() {
-    let mut workers = 4usize;
-    let mut seed = 42u64;
-    let mut json = false;
-    let mut positional = 0;
-    for arg in std::env::args().skip(1) {
-        if arg == "--json" {
-            json = true;
-        } else if let Ok(n) = arg.parse::<u64>() {
-            match positional {
-                0 => workers = n as usize,
-                _ => seed = n,
-            }
-            positional += 1;
-        }
-    }
+    let mut cli = Cli::parse("frontier", &["workers", "seed"], true);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
+    let json = cli.json();
 
     let apps = all_workloads(workers);
 
     // Truth runs: one always-on TxRace+FullFlow run per app, reused by
     // every budget point of that app.
-    let truths = map_cells(pool_width(), &apps, |_, w| {
+    let truths = par_map(&apps, usize::MAX, |_, w| {
         let cfg = w
             .config(Scheme::txrace(), seed)
             .with_prune(StaticPruneMode::FullFlow);
@@ -74,7 +64,7 @@ fn main() {
     let grid: Vec<(usize, f64)> = (0..apps.len())
         .flat_map(|ai| BUDGETS.iter().map(move |&b| (ai, b)))
         .collect();
-    let cells: Vec<Cell> = map_cells(pool_width(), &grid, |_, &(ai, budget)| {
+    let cells: Vec<Cell> = par_map(&grid, usize::MAX, |_, &(ai, budget)| {
         let w = &apps[ai];
         let truth = &truths[ai];
         let out = Detector::new(w.config(Scheme::production(budget), seed)).run(&w.program);

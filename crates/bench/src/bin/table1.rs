@@ -2,7 +2,7 @@
 //! statistics, detected races, and runtime overheads for TSan vs TxRace.
 //!
 //! ```text
-//! cargo run --release -p txrace-bench --bin table1 [workers] [seed]
+//! cargo run --release -p txrace-bench --bin table1 [--json] [workers] [seed]
 //! ```
 //!
 //! Counts are at the per-app scale noted in each workload (the paper's
@@ -11,9 +11,9 @@
 
 use txrace::{Detector, RunOutcome, Scheme, SiteClassTable, StaticPruneMode};
 use txrace_bench::{
-    evaluate_app, fmt_x, geomean, json_rows, map_cells, paper, pool_width, AppResult, EvalOptions,
-    JsonValue, Table,
+    evaluate_app, fmt_x, geomean, json_rows, paper, AppResult, Cli, JsonValue, Table,
 };
+use txrace_sim::par_map;
 use txrace_workloads::{all_workloads, Workload};
 
 /// A "TxRace+SA" run: static pruning on top of the default TxRace
@@ -27,8 +27,8 @@ fn run_pruned(w: &Workload, seed: u64, mode: StaticPruneMode) -> RunOutcome {
     out
 }
 
-/// Everything one table row needs; computed per app, in parallel across
-/// the worker pool (each cell is an independent deterministic simulation,
+/// Everything one table row needs; computed per app, one core each
+/// (each cell is an independent deterministic simulation,
 /// so the fan-out changes wall-clock only, never the results).
 struct Cell {
     base: AppResult,
@@ -39,13 +39,7 @@ struct Cell {
 }
 
 fn eval_cell(w: &Workload, seed: u64) -> Cell {
-    let base = evaluate_app(
-        w,
-        EvalOptions {
-            seed,
-            ..Default::default()
-        },
-    );
+    let base = evaluate_app(w, seed);
     let sa = run_pruned(w, seed, StaticPruneMode::Full);
     let flow = run_pruned(w, seed, StaticPruneMode::FullFlow);
     let stats = SiteClassTable::analyze(&w.program).stats(&w.program);
@@ -60,13 +54,10 @@ fn eval_cell(w: &Workload, seed: u64) -> Cell {
 }
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let json = raw.iter().any(|a| a == "--json");
-    raw.retain(|a| a != "--json");
-    let mut args = raw.into_iter();
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
-    if json {
+    let mut cli = Cli::parse("table1", &["workers", "seed"], true);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
+    if cli.json() {
         return print_json(workers, seed);
     }
 
@@ -100,7 +91,7 @@ fn main() {
         None => got,
     };
     let apps = all_workloads(workers);
-    let results = map_cells(pool_width(), &apps, |_, w| eval_cell(w, seed));
+    let results = par_map(&apps, usize::MAX, |_, w| eval_cell(w, seed));
     for (w, c) in apps.iter().zip(results) {
         let r = &c.base;
         let htm = r.txrace.htm.expect("txrace stats");
@@ -180,7 +171,7 @@ fn main() {
 fn print_json(workers: usize, seed: u64) {
     let mut rows = Vec::new();
     let apps = all_workloads(workers);
-    let results = map_cells(pool_width(), &apps, |_, w| eval_cell(w, seed));
+    let results = par_map(&apps, usize::MAX, |_, w| eval_cell(w, seed));
     for (w, c) in apps.iter().zip(results) {
         let r = &c.base;
         let h = r.txrace.htm.expect("txrace stats");

@@ -7,31 +7,24 @@
 //! cargo run --release -p txrace-bench --bin table2 [workers] [seed]
 //! ```
 
-use txrace_bench::{evaluate_app, geomean, map_cells, paper, pool_width, EvalOptions, Table};
+use txrace_bench::{evaluate_app, geomean, paper, Cli, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut cli = Cli::parse("table2", &["workers", "seed"], false);
+    let workers = cli.workers();
+    let seed = cli.next(42u64);
 
     println!("TxRace reproduction — Table 2 (workers={workers}, seed={seed})");
     println!("paper values in parentheses\n");
 
     let mut t = Table::new(&["application", "overhead", "recall", "cost-effectiveness"]);
     let (mut ovs, mut recs, mut ces) = (Vec::new(), Vec::new(), Vec::new());
-    // One pool cell per app; results come back in input order, so the
+    // One cell per app; results come back in input order, so the
     // rendered table is byte-identical to a serial run.
     let apps = all_workloads(workers);
-    let results = map_cells(pool_width(), &apps, |_, w| {
-        evaluate_app(
-            w,
-            EvalOptions {
-                seed,
-                ..Default::default()
-            },
-        )
-    });
+    let results = par_map(&apps, usize::MAX, |_, w| evaluate_app(w, seed));
     for (w, r) in apps.iter().zip(results) {
         // The message-passing families have no paper row; they print
         // bare measured values and stay out of the paper-comparison

@@ -371,10 +371,7 @@ fn main() {
     }
     let Some(app) = app else { usage() };
     let app = app.as_str();
-    if workers < 2 {
-        eprintln!("--workers must be at least 2 (the workloads need concurrency)");
-        std::process::exit(2);
-    }
+    txrace_bench::require_workers(workers);
     if shards == Some(0) {
         eprintln!("--shards must be at least 1");
         usage();

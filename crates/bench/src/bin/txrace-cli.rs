@@ -73,10 +73,7 @@ fn run_command(args: &[String]) {
         }
     }
 
-    if workers < 2 {
-        eprintln!("--workers must be at least 2 (the workloads need concurrency)");
-        std::process::exit(2);
-    }
+    txrace_bench::require_workers(workers);
     let Some(w) = by_name(app, workers) else {
         eprintln!("unknown app {app:?}; try `txrace-cli list`");
         std::process::exit(2);

@@ -2,19 +2,17 @@
 //!
 //! Each binary under `src/bin/` reproduces one table or figure; this
 //! library holds the per-app evaluation driver, the paper's reference
-//! numbers (for side-by-side printing), and small formatting helpers.
+//! numbers (for side-by-side printing), the shared command-line parser,
+//! and small formatting helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod paper;
-pub mod pool;
 pub mod report;
 pub mod runner;
 
-pub use pool::{map_cells, pool_width};
+pub use cli::{require_workers, Cli};
 pub use report::{fmt_x, geomean, json_rows, JsonValue, Table};
-pub use runner::{
-    evaluate_app, record_workload, replay_scheme, replay_schemes_fanout, run_scheme, AppResult,
-    EvalOptions, FanoutOutcome,
-};
+pub use runner::{evaluate_app, record_workload, replay_schemes_fanout, run_scheme, AppResult};

@@ -1,26 +1,8 @@
 //! The per-app evaluation driver shared by all table/figure binaries.
 
-use txrace::{recall, Detector, LoopcutMode, RunOutcome, Scheme, TxRaceOpts};
+use txrace::{recall, Detector, RunOutcome, Scheme};
 use txrace_sim::EventLog;
 use txrace_workloads::Workload;
-
-/// Options for one app evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalOptions {
-    /// Scheduling seed.
-    pub seed: u64,
-    /// Loop-cut mode for the TxRace run.
-    pub loopcut: LoopcutMode,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            seed: 42,
-            loopcut: LoopcutMode::Dyn,
-        }
-    }
-}
 
 /// Everything Table 1/2 needs about one app: both detectors on the same
 /// workload and seed.
@@ -47,14 +29,11 @@ impl AppResult {
     }
 }
 
-/// Runs TSan and TxRace on `w` and scores them.
-pub fn evaluate_app(w: &Workload, opts: EvalOptions) -> AppResult {
-    let tsan = Detector::new(w.config(Scheme::Tsan, opts.seed)).run(&w.program);
-    let txopts = TxRaceOpts {
-        loopcut: opts.loopcut,
-        ..TxRaceOpts::default()
-    };
-    let txrace = Detector::new(w.config(Scheme::TxRace(txopts), opts.seed)).run(&w.program);
+/// Runs TSan and the default TxRace configuration on `w` at `seed` and
+/// scores them.
+pub fn evaluate_app(w: &Workload, seed: u64) -> AppResult {
+    let tsan = Detector::new(w.config(Scheme::Tsan, seed)).run(&w.program);
+    let txrace = Detector::new(w.config(Scheme::txrace(), seed)).run(&w.program);
     assert!(tsan.completed(), "{}: TSan run did not complete", w.name);
     assert!(
         txrace.completed(),
@@ -84,62 +63,35 @@ pub fn run_scheme(w: &Workload, scheme: Scheme, seed: u64) -> RunOutcome {
 /// Records `w` once at `seed` into a replayable trace. Scheduling depends
 /// only on the workload's scheduler policy and the seed — never on the
 /// detection scheme — so one recording serves every pure-observer scheme
-/// (TSan, all sampling rates, lockset) via [`replay_scheme`].
+/// (TSan, all sampling rates, lockset) via [`replay_schemes_fanout`].
 pub fn record_workload(w: &Workload, seed: u64) -> EventLog {
     Detector::new(w.config(Scheme::Tsan, seed)).record(&w.program)
 }
 
-/// Replays a recorded trace of `w` under `scheme`, producing the exact
-/// outcome a live [`run_scheme`] call with the same seed would.
-///
-/// # Panics
-///
-/// Panics if `scheme` is TxRace (an active engine cannot run from a fixed
-/// trace — use [`run_scheme`]) or if the recorded run did not complete.
-pub fn replay_scheme(w: &Workload, log: &EventLog, scheme: Scheme, seed: u64) -> RunOutcome {
-    let d = Detector::new(w.config(scheme, seed));
-    let consumer = d.consumer(&w.program);
-    let out = d.replay(log, consumer);
-    assert!(out.completed(), "{}: recorded run did not complete", w.name);
-    out
-}
-
-/// One scheme's result from a fan-out replay pass, with the observed
-/// per-consumer timing (the observability the JSON rows expose).
-#[derive(Debug)]
-pub struct FanoutOutcome {
-    /// The outcome, byte-identical to a serial [`replay_scheme`] call.
-    pub outcome: RunOutcome,
-    /// Wall time of this consumer's replay, in nanoseconds.
-    pub wall_ns: u64,
-    /// Events the consumer observed (the log length).
-    pub events: u64,
-}
-
 /// Replays one recorded trace of `w` under every scheme in `schemes`
 /// concurrently — a single [`txrace_sim::fan_out`] pass over the shared
-/// log on `width` scoped threads — and returns the outcomes in scheme
-/// order. Each outcome is byte-identical to the serial
-/// [`replay_scheme`] result for that scheme: consumers are pure
-/// observers with private state, so concurrency cannot change what any
-/// of them sees.
+/// log, one thread per core — and returns the outcomes in scheme
+/// order. Each outcome is byte-identical to a live [`run_scheme`] call
+/// with the same seed: consumers are pure observers with private state,
+/// so neither replay nor concurrency changes what any of them sees.
 ///
 /// # Panics
 ///
-/// Panics like [`replay_scheme`] (TxRace schemes, incomplete runs).
+/// Panics if a scheme is TxRace (an active engine cannot run from a
+/// fixed trace — use [`run_scheme`]) or if the recorded run did not
+/// complete.
 pub fn replay_schemes_fanout(
     w: &Workload,
     log: &EventLog,
     schemes: &[Scheme],
     seed: u64,
-    width: usize,
-) -> Vec<FanoutOutcome> {
+) -> Vec<RunOutcome> {
     let detectors: Vec<Detector> = schemes
         .iter()
         .map(|s| Detector::new(w.config(s.clone(), seed)))
         .collect();
     let consumers = detectors.iter().map(|d| d.consumer(&w.program)).collect();
-    txrace_sim::fan_out(log, consumers, width)
+    txrace_sim::fan_out(log, consumers, usize::MAX)
         .into_iter()
         .zip(&detectors)
         .map(|(r, d)| {
@@ -149,11 +101,7 @@ pub fn replay_schemes_fanout(
                 "{}: recorded run did not complete",
                 w.name
             );
-            FanoutOutcome {
-                outcome,
-                wall_ns: r.wall_ns,
-                events: r.events,
-            }
+            outcome
         })
         .collect()
 }
@@ -166,7 +114,7 @@ mod tests {
     #[test]
     fn evaluate_runs_both_detectors() {
         let w = by_name("blackscholes", 2).unwrap();
-        let r = evaluate_app(&w, EvalOptions::default());
+        let r = evaluate_app(&w, 42);
         assert!(r.tsan.completed() && r.txrace.completed());
         assert!(r.recall >= 0.0 && r.recall <= 1.0);
         assert!(r.txrace.htm.is_some());
@@ -182,14 +130,14 @@ mod tests {
             Scheme::TsanSampling { rate: 0.1 },
             Scheme::TsanSampling { rate: 0.5 },
         ];
-        let fanned = replay_schemes_fanout(&w, &log, &schemes, 7, 3);
+        let fanned = replay_schemes_fanout(&w, &log, &schemes, 7);
         assert_eq!(fanned.len(), schemes.len());
         for (f, scheme) in fanned.iter().zip(&schemes) {
-            let serial = replay_scheme(&w, &log, scheme.clone(), 7);
-            assert_eq!(f.outcome.races.reports(), serial.races.reports());
-            assert_eq!(f.outcome.breakdown, serial.breakdown);
-            assert_eq!(f.outcome.checks, serial.checks);
-            assert_eq!(f.events, log.len() as u64);
+            let d = Detector::new(w.config(scheme.clone(), 7));
+            let serial = d.replay(&log, d.consumer(&w.program));
+            assert_eq!(f.races.reports(), serial.races.reports());
+            assert_eq!(f.breakdown, serial.breakdown);
+            assert_eq!(f.checks, serial.checks);
         }
     }
 
@@ -197,9 +145,10 @@ mod tests {
     fn replayed_scheme_matches_live_run() {
         let w = by_name("bodytrack", 2).unwrap();
         let log = record_workload(&w, 7);
-        for scheme in [Scheme::Tsan, Scheme::TsanSampling { rate: 0.4 }] {
-            let live = run_scheme(&w, scheme.clone(), 7);
-            let replayed = replay_scheme(&w, &log, scheme, 7);
+        let schemes = [Scheme::Tsan, Scheme::TsanSampling { rate: 0.4 }];
+        let replayed = replay_schemes_fanout(&w, &log, &schemes, 7);
+        for (scheme, replayed) in schemes.into_iter().zip(replayed) {
+            let live = run_scheme(&w, scheme, 7);
             assert_eq!(live.races.reports(), replayed.races.reports());
             assert_eq!(live.breakdown, replayed.breakdown);
             assert_eq!(live.baseline_cycles, replayed.baseline_cycles);

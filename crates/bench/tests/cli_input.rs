@@ -1,5 +1,6 @@
-//! Out-of-range command-line values are refused with exit status 2 (the
-//! usage-error status), never a panic or a silently wrong result.
+//! Malformed or out-of-range command-line values, unknown flags and extra
+//! arguments are refused with exit status 2 (the usage-error status),
+//! never a panic or a silently wrong result.
 
 use std::process::Command;
 
@@ -34,5 +35,19 @@ fn txrace_cli_refuses_sampling_rates_outside_the_unit_interval() {
             Some(2),
             "--scheme {scheme}"
         );
+    }
+}
+
+#[test]
+fn table_and_figure_binaries_refuse_bad_positionals_and_flags() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig12"), &["1"][..]),
+        (env!("CARGO_BIN_EXE_fig12"), &["x"]),
+        (env!("CARGO_BIN_EXE_table1"), &["--jsn"]),
+        (env!("CARGO_BIN_EXE_frontier"), &["4", "42", "7"]),
+        (env!("CARGO_BIN_EXE_fig13"), &["4", "0"]),
+        (env!("CARGO_BIN_EXE_fig10"), &["4", "0"]),
+    ] {
+        assert_eq!(exit_code(bin, args), Some(2), "{bin} {args:?}");
     }
 }

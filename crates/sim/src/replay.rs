@@ -161,7 +161,7 @@ impl<C: TraceConsumer + ?Sized> TraceConsumer for Box<C> {
 }
 
 /// A slice of consumers broadcasts: every event goes to each consumer in
-/// slice order ([`EventLog::replay_many`]).
+/// slice order ([`EventLog::replay`] on the slice).
 impl<C: TraceConsumer> TraceConsumer for [C] {
     #[inline(always)]
     fn event(&mut self, idx: u64, ev: Event<'_>) {
@@ -203,19 +203,21 @@ pub fn replay_indexed<C: TraceConsumer + ?Sized>(
 }
 
 /// Maps `job` over `inputs` on scoped threads and returns the results in
-/// input order — the one runner under [`fan_out`] and the sharded
-/// detectors.
+/// input order — the one runner under [`fan_out`], the sharded
+/// detectors and the table/figure binaries' cell grids.
 ///
 /// Runs on `min(inputs, width, available_parallelism)` threads, each
 /// claiming the next unclaimed input until none are left. With one
 /// thread (a single input, `width <= 1`, or a one-core host) the inputs
 /// run in order on the calling thread, so extra jobs never time-slice
-/// one core. `job` receives each input's position.
+/// one core. `job` receives each input's position. Pass `usize::MAX`
+/// as `width` for one thread per core.
 pub fn par_map<I: Send, O: Send>(
-    inputs: Vec<I>,
+    inputs: impl IntoIterator<Item = I>,
     width: usize,
     job: impl Fn(usize, I) -> O + Sync,
 ) -> Vec<O> {
+    let inputs: Vec<I> = inputs.into_iter().collect();
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = width.min(hw).min(inputs.len());
     if threads <= 1 {
@@ -273,9 +275,9 @@ pub struct FanOutReport<C> {
 /// multi-consumer fan-out of the parallel replay engine.
 ///
 /// Consumers are split round-robin into at most `width` groups; each
-/// group rides **one** broadcast pass over the log
-/// ([`EventLog::replay_many`]: every event decoded once, dispatched to
-/// the whole group), and groups run concurrently through [`par_map`].
+/// group rides **one** broadcast pass over the log ([`EventLog::replay`]
+/// on the group's slice: every event decoded once, dispatched to the
+/// whole group), and groups run concurrently through [`par_map`].
 /// The group count is additionally capped at the machine's available
 /// parallelism — an extra group means an extra walk of the log, which
 /// costs memory bandwidth without buying any concurrency once every
@@ -330,7 +332,7 @@ pub fn fan_out<C: TraceConsumer + Send>(
     let events = log.len() as u64;
     let mut finished = par_map(buckets, groups, |group, mut cs| {
         let t0 = Instant::now();
-        log.replay_many(&mut cs);
+        log.replay(cs.as_mut_slice());
         let wall_ns = t0.elapsed().as_nanos() as u64;
         cs.into_iter().map(move |consumer| FanOutReport {
             consumer,
@@ -599,12 +601,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn replay_many_matches_replay_per_consumer() {
+    fn slice_replay_matches_replay_per_consumer() {
         let log = locked_barrier_log(5);
         let mut want = Script::default();
         log.replay(&mut want);
         let mut many: Vec<Script> = (0..3).map(|_| Script::default()).collect();
-        log.replay_many(&mut many);
+        log.replay(many.as_mut_slice());
         for m in &many {
             assert_eq!(m, &want, "broadcast must equal per-consumer replay");
         }
@@ -620,11 +622,40 @@ pub(crate) mod tests {
     #[test]
     fn par_map_returns_results_in_input_order() {
         for width in [0, 1, 2, 3, 8] {
-            let out = par_map((0..10u64).collect(), width, |i, x| (i, x * x));
+            let out = par_map(0..10u64, width, |i, x| (i, x * x));
             let want: Vec<(usize, u64)> = (0..10).map(|i| (i as usize, i * i)).collect();
             assert_eq!(out, want, "width={width}");
         }
+    }
+
+    #[test]
+    fn par_map_serial_and_parallel_agree() {
+        let items: Vec<u64> = (0..97).collect();
+        let f = |i: usize, x: u64| -> u64 { x.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64) };
+        let serial = par_map(items.iter().copied(), 1, f);
+        for width in [2, 3, 8, 64] {
+            assert_eq!(
+                serial,
+                par_map(items.iter().copied(), width, f),
+                "width={width}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_handles_empty_and_singleton_inputs() {
         assert!(par_map(Vec::<u8>::new(), 4, |_, x| x).is_empty());
+        assert_eq!(par_map([7u32], 8, |_, x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_when_completion_order_scrambles() {
+        let out = par_map(0..200u64, 16, |i, x| {
+            // Vary per-job latency so jobs finish out of order.
+            std::thread::sleep(std::time::Duration::from_micros(x % 7));
+            i * 2
+        });
+        assert_eq!(out, (0..200).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     /// A 3-thread log with locks, a barrier, channels, and enough

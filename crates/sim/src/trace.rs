@@ -13,8 +13,8 @@
 //! This module owns the whole wire format: `ReleaseTable::encode` turns
 //! an [`Event`] into its stored form, and `ReleaseTable::dispatch` is
 //! the one place a stored event becomes an [`Event`] again. Every replay
-//! driver — [`EventLog::replay`], [`EventLog::replay_many`], and the
-//! shard merge [`crate::replay::replay_indexed`] — goes through it.
+//! driver — [`EventLog::replay`] (one consumer, or a slice of them) and
+//! the shard merge [`crate::replay::replay_indexed`] — goes through it.
 
 use crate::addr::Addr;
 use crate::exec::{RunResult, RunStatus, StepLimit};
@@ -416,8 +416,7 @@ impl EventLog {
     /// # Errors
     ///
     /// A description of the corruption (bad magic, unknown version,
-    /// truncation, invalid event kind, out-of-range index). Cache
-    /// readers treat any error as a miss and re-record.
+    /// truncation, invalid event kind, out-of-range index).
     pub fn from_bytes(bytes: &[u8]) -> Result<EventLog, String> {
         let mut c = Cursor { b: bytes, pos: 0 };
         if c.u64()? != LOG_MAGIC {
@@ -496,26 +495,15 @@ impl EventLog {
     /// Drives `consumer` through the recorded event stream. The
     /// `(index, event)` sequence is identical to what the consumer would
     /// have observed live inside [`Live`] during the recorded run.
+    ///
+    /// Passing a slice of consumers broadcasts: each event is decoded
+    /// once and dispatched to every consumer in slice order, which is how
+    /// [`crate::replay::fan_out`] walks the log once per group instead of
+    /// once per consumer.
     pub fn replay<C: TraceConsumer + ?Sized>(&self, consumer: &mut C) {
         for (i, e) in self.events.iter().enumerate() {
             self.table.dispatch(i as u64, e, consumer);
         }
-    }
-
-    /// Replays the log into *every* consumer in one pass over the event
-    /// stream: each event is decoded once and dispatched to all
-    /// consumers in slice order — the broadcast primitive under
-    /// [`crate::replay::fan_out`]. This is [`EventLog::replay`] with the
-    /// slice as the consumer.
-    ///
-    /// Byte-identical to calling [`EventLog::replay`] on each consumer
-    /// separately (consumers are independent; each still observes the
-    /// full sequence in execution order), but the event stream is walked
-    /// and decoded once instead of once per consumer — on a
-    /// multi-megabyte log that is the difference between streaming the
-    /// log through the cache N times and once.
-    pub fn replay_many<C: TraceConsumer>(&self, consumers: &mut [C]) {
-        self.replay(consumers);
     }
 }
 

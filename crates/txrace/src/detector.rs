@@ -6,7 +6,7 @@ use txrace_hb::{RaceSet, ShadowMode};
 use txrace_htm::{HtmConfig, HtmStats};
 use txrace_sim::{
     EventLog, FairSched, InterruptModel, Live, Machine, Program, RandomSched, RoundRobin,
-    RunResult, RunStatus, Scheduler, StepLimit, TraceConsumer,
+    RunResult, RunStatus, Scheduler, StepLimit,
 };
 
 use crate::baselines::TsanConsumer;
@@ -589,14 +589,6 @@ impl Detector {
     pub fn replay(&self, log: &EventLog, mut consumer: TsanConsumer) -> RunOutcome {
         log.replay(&mut consumer);
         self.outcome_of_replayed(consumer, log)
-    }
-
-    /// Replays a recorded log through an arbitrary [`TraceConsumer`] and
-    /// returns it (a convenience for raw detectors like
-    /// [`txrace_hb::FastTrack`] that don't produce a [`RunOutcome`]).
-    pub fn replay_into<C: TraceConsumer>(&self, log: &EventLog, mut consumer: C) -> C {
-        log.replay(&mut consumer);
-        consumer
     }
 
     /// Assembles the [`RunOutcome`] for a consumer that has *already*

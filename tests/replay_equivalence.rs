@@ -6,14 +6,18 @@
 //! is fully determined by `(program, scheduler, seed)` — which makes the
 //! recorded event stream exactly what the live detector saw, method call
 //! for method call. Checked here on all bundled workloads (races,
-//! breakdowns, check counts, sampling decisions, final memory) and on
-//! randomly generated programs.
+//! breakdowns, check counts, sampling decisions, final memory), on the
+//! sampling sweeps behind Figures 11–13, and on randomly generated
+//! programs; every sweep is also fanned out concurrently over its one
+//! recording and must match the serial replay.
 
 use proptest::prelude::*;
 use txrace::{Detector, RunConfig, RunOutcome, Scheme};
 use txrace_hb::{FastTrack, Lockset, ShadowMode, VectorClockDetector};
-use txrace_sim::{record_run, FairSched, Live, Machine, Program, StepLimit, TraceConsumer};
-use txrace_workloads::{all_workloads, random_program, GenConfig};
+use txrace_sim::{
+    fan_out, record_run, FairSched, Live, Machine, Program, StepLimit, TraceConsumer,
+};
+use txrace_workloads::{all_workloads, by_name, random_program, GenConfig};
 
 /// Asserts every field of the outcome that replay promises to reproduce.
 fn assert_outcomes_identical(app: &str, live: &RunOutcome, replayed: &RunOutcome) {
@@ -36,28 +40,55 @@ fn assert_outcomes_identical(app: &str, live: &RunOutcome, replayed: &RunOutcome
     assert_eq!(live.run, replayed.run, "{app}: run results differ");
 }
 
-/// Live-vs-replayed comparison of the full detector pipeline on `p`.
-fn check_detector_schemes(app: &str, p: &Program, cfg_of: impl Fn(Scheme) -> RunConfig) {
-    let schemes = [
-        Scheme::Tsan,
-        Scheme::TsanSampling { rate: 0.3 },
-        Scheme::TsanSampling { rate: 0.85 },
-    ];
+/// The schemes most tests compare: full TSan and sampling rates that
+/// include Figure 11's 10% and 50%.
+const SCHEMES: [Scheme; 5] = [
+    Scheme::Tsan,
+    Scheme::TsanSampling { rate: 0.1 },
+    Scheme::TsanSampling { rate: 0.3 },
+    Scheme::TsanSampling { rate: 0.5 },
+    Scheme::TsanSampling { rate: 0.85 },
+];
+
+/// Live-vs-replayed comparison of the full detector pipeline on `p`,
+/// scheme by scheme, then every scheme's consumer fanned out over the
+/// same recording at once against its serial replay.
+fn check_detector_schemes(
+    app: &str,
+    p: &Program,
+    schemes: &[Scheme],
+    cfg_of: impl Fn(Scheme) -> RunConfig,
+) {
     // One recording serves every scheme: scheduling never depends on it.
     let log = Detector::new(cfg_of(Scheme::Tsan)).record(p);
-    for scheme in schemes {
-        let d = Detector::new(cfg_of(scheme.clone()));
-        let live = d.run(p);
-        let consumer = d.consumer(p);
-        let replayed = d.replay(&log, consumer);
-        assert_outcomes_identical(app, &live, &replayed);
+    let detectors: Vec<Detector> = schemes
+        .iter()
+        .map(|s| Detector::new(cfg_of(s.clone())))
+        .collect();
+    let serial: Vec<RunOutcome> = detectors
+        .iter()
+        .zip(schemes)
+        .map(|(d, scheme)| {
+            let live = d.run(p);
+            let replayed = d.replay(&log, d.consumer(p));
+            assert_outcomes_identical(&format!("{app} {scheme:?}"), &live, &replayed);
+            replayed
+        })
+        .collect();
+    let consumers = detectors.iter().map(|d| d.consumer(p)).collect();
+    let fanned = fan_out(&log, consumers, schemes.len());
+    for (((r, d), want), scheme) in fanned.into_iter().zip(&detectors).zip(&serial).zip(schemes) {
+        let got = d.outcome_of_replayed(r.consumer, &log);
+        assert_outcomes_identical(&format!("{app} {scheme:?} fan-out"), want, &got);
     }
 }
 
+/// Every bundled workload at seed 42 with four workers; this includes
+/// Figure 11's grid (its nine racy apps under TSan, 10% and 50%).
 #[test]
 fn all_workloads_replay_identically() {
     for w in all_workloads(4) {
-        check_detector_schemes(w.name, &w.program, |scheme| w.config(scheme, 42));
+        check_detector_schemes(w.name, &w.program, &SCHEMES, |scheme| w.config(scheme, 42));
     }
 }
 
@@ -65,9 +96,26 @@ fn all_workloads_replay_identically() {
 fn replay_equivalence_holds_across_seeds() {
     for seed in [0, 7, 1234] {
         for name in ["bodytrack", "vips", "streamcluster"] {
-            let w = txrace_workloads::by_name(name, 3).expect("bundled workload");
-            check_detector_schemes(name, &w.program, |scheme| w.config(scheme, seed));
+            let w = by_name(name, 3).expect("bundled workload");
+            check_detector_schemes(name, &w.program, &SCHEMES, |scheme| w.config(scheme, seed));
         }
+    }
+}
+
+/// Figures 12 and 13's grid: bodytrack under TSan and every sampling
+/// rate from 0% to 100% in steps of 10%, at Figure 13's seeds and
+/// Figure 12's seed 42.
+#[test]
+fn fig12_fig13_rate_sweep_replays_identically() {
+    let mut schemes = vec![Scheme::Tsan];
+    schemes.extend((0..=10).map(|tenths| Scheme::TsanSampling {
+        rate: f64::from(tenths) / 10.0,
+    }));
+    let w = by_name("bodytrack", 4).expect("bundled workload");
+    for seed in [0, 1, 2, 42] {
+        check_detector_schemes("bodytrack", &w.program, &schemes, |scheme| {
+            w.config(scheme, seed)
+        });
     }
 }
 
